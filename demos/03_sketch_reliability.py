@@ -11,7 +11,7 @@ Three aspects of the Gaussian projection behind the "rcp" strategy:
 
 import numpy as np
 
-from randldl import factor, factor_robust, jl_budget, solve
+from randldl import factor, factor_robust, jl_required_p, solve
 from randldl.gallery import MatrixSpec, generate
 
 # ----------------------------------------------------------------------
@@ -21,8 +21,7 @@ from randldl.gallery import MatrixSpec, generate
 #    handful of rows (p = 5 or so) already steers the pivot order well —
 #    the guarantee is a worst-case statement.
 # ----------------------------------------------------------------------
-budget = jl_budget(1000, 0.5, 0.05)
-print(f"norm-preserving sketch size for n={budget.n}: p >= {budget.p_required}")
+print(f"norm-preserving sketch size for n=1000: p >= {jl_required_p(1000, 0.5, 0.05)}")
 
 # ----------------------------------------------------------------------
 # 2. Sketch maintenance accuracy.  With audit_sketch=True the engine keeps

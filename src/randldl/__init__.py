@@ -13,20 +13,11 @@ under one of three pivoting strategies:
 
 Entry points: :func:`factor`, :func:`factor_robust`, :func:`solve`,
 :func:`solve_many`, the :mod:`randldl.gallery` matrix families, and the
-``bench`` command line (``randldl.bench:main``).
+``bench`` command line (``randldl.bench:main``).  The kernels behind them
+(``core``, ``pivot``, ``sketch``, ``metrics``) stay importable from their
+modules but are not part of the package namespace.
 """
 
-from .core import (
-    apply_symmetric_permutation,
-    column_norms,
-    compose_permutations,
-    identity_permutation,
-    invert_permutation,
-    is_exactly_symmetric,
-    mirror_lower,
-    schur_update,
-    sym_swap,
-)
 from .factor import (
     PAT_DEFICIENT,
     PAT_PAIR_END,
@@ -38,7 +29,6 @@ from .factor import (
     GrowthTracking,
     NumericalError,
     Strategy,
-    compute_panel_columns,
     factor,
     factor_robust,
     reconstruct,
@@ -50,40 +40,9 @@ from .gallery import (
     load_matrix_market,
     save_matrix_market,
 )
-from .metrics import (
-    GrowthStats,
-    JlBudget,
-    OpCounters,
-    backward_error,
-    growth_from_snapshots,
-    jl_budget,
-    jl_required_p,
-    linv_norm1,
-    norm_1,
-    norm_1_2,
-    norm_1_inf,
-)
-from .pivot import (
-    BK_ALPHA,
-    SBKP_ALPHA,
-    PivotDecision,
-    PivotKind,
-    PivotParams,
-    bbk_decide,
-    bkpp_decide,
-    sbkp_decide,
-)
-from .sketch import (
-    RNG_STREAM,
-    RngSpec,
-    SketchState,
-    draw_gaussian,
-    partial_qrcp,
-    project,
-    recompute_sketch,
-    update_sketch,
-)
-from .solve import SolveReport, block_diag_solve, solve, solve_many
+from .metrics import GrowthStats, OpCounters, backward_error, jl_required_p
+from .pivot import BK_ALPHA, SBKP_ALPHA
+from .solve import SolveReport, solve, solve_many
 
 __version__ = "0.1.0"
 
@@ -93,7 +52,6 @@ __all__ = [
     "factor",
     "factor_robust",
     "reconstruct",
-    "compute_panel_columns",
     "FactorConfig",
     "Factorization",
     "BlockDiag",
@@ -104,55 +62,21 @@ __all__ = [
     "PAT_PAIR_START",
     "PAT_PAIR_END",
     "PAT_DEFICIENT",
+    "BK_ALPHA",
+    "SBKP_ALPHA",
     # solve
     "solve",
     "solve_many",
-    "block_diag_solve",
     "SolveReport",
-    # pivoting
-    "sbkp_decide",
-    "bkpp_decide",
-    "bbk_decide",
-    "BK_ALPHA",
-    "SBKP_ALPHA",
-    "PivotDecision",
-    "PivotKind",
-    "PivotParams",
-    # sketching
-    "RngSpec",
-    "RNG_STREAM",
-    "SketchState",
-    "draw_gaussian",
-    "project",
-    "update_sketch",
-    "recompute_sketch",
-    "partial_qrcp",
     # metrics
     "OpCounters",
     "GrowthStats",
-    "JlBudget",
-    "jl_required_p",
-    "jl_budget",
     "backward_error",
-    "growth_from_snapshots",
-    "norm_1",
-    "norm_1_2",
-    "norm_1_inf",
-    "linv_norm1",
+    "jl_required_p",
     # gallery
     "generate",
     "MatrixSpec",
     "FAMILIES",
     "load_matrix_market",
     "save_matrix_market",
-    # permutation/matrix helpers
-    "identity_permutation",
-    "invert_permutation",
-    "compose_permutations",
-    "apply_symmetric_permutation",
-    "is_exactly_symmetric",
-    "sym_swap",
-    "mirror_lower",
-    "column_norms",
-    "schur_update",
 ]

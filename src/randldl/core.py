@@ -20,13 +20,9 @@ __all__ = [
     "require_symmetric",
     "is_exactly_symmetric",
     "identity_permutation",
-    "invert_permutation",
-    "compose_permutations",
-    "apply_symmetric_permutation",
     "sym_swap",
     "mirror_lower",
     "column_norms",
-    "schur_update",
 ]
 
 
@@ -55,46 +51,6 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def identity_permutation(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64)
-
-
-def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    """Inverse map: ``inv[perm[i]] = i``."""
-    perm = _require_permutation(perm)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size, dtype=perm.dtype)
-    return inv
-
-
-def compose_permutations(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Composition ``(outer o inner)[i] = outer[inner[i]]``."""
-    outer = _require_permutation(outer)
-    inner = _require_permutation(inner)
-    if outer.size != inner.size:
-        raise ValueError("permutations must have equal length")
-    return outer[inner]
-
-
-def _require_permutation(perm: np.ndarray) -> np.ndarray:
-    perm = np.asarray(perm)
-    if perm.ndim != 1 or not np.issubdtype(perm.dtype, np.integer):
-        raise ValueError("permutation must be a 1-D integer array")
-    n = perm.size
-    seen = np.zeros(n, dtype=bool)
-    if n and (perm.min() < 0 or perm.max() >= n):
-        raise ValueError("permutation entries out of range")
-    seen[perm] = True
-    if not seen.all():
-        raise ValueError("permutation is not a bijection")
-    return perm.astype(np.int64, copy=False)
-
-
-def apply_symmetric_permutation(a: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Return ``A[perm][:, perm]`` (rows and columns relabeled together)."""
-    a = require_square(a)
-    perm = _require_permutation(perm)
-    if perm.size != a.shape[0]:
-        raise ValueError("permutation length must match matrix dimension")
-    return a[np.ix_(perm, perm)]
 
 
 def sym_swap(a: np.ndarray, i: int, j: int) -> None:
@@ -141,25 +97,3 @@ def column_norms(m: np.ndarray, from_col: int = 0) -> np.ndarray:
     scaled = block / safe
     return scale * np.sqrt(np.einsum("ij,ij->j", scaled, scaled))
 
-
-def schur_update(a: np.ndarray, k: int, s: int, l21: np.ndarray, a11: np.ndarray) -> None:
-    """Form the Schur complement ``A22 - L21 @ A11 @ L21.T`` in place.
-
-    ``a`` holds the active matrix; rows/columns ``k:k+s`` are the pivot block
-    ``a11`` and ``l21`` holds the multipliers for rows ``k+s:``.  Only the
-    trailing block of ``a`` changes.  The lower triangle is computed and then
-    mirrored so symmetry stays exact.
-    """
-    n = a.shape[0]
-    if s not in (1, 2):
-        raise ValueError(f"pivot block size must be 1 or 2, got {s}")
-    if not (0 <= k and k + s <= n):
-        raise ValueError(f"pivot block ({k}, {s}) out of range for n={n}")
-    a11 = np.asarray(a11, dtype=np.float64).reshape(s, s)
-    l21 = np.asarray(l21, dtype=np.float64).reshape(n - k - s, s)
-    if k + s == n:
-        return
-    w = l21 @ a11
-    trailing = a[k + s :, k + s :]
-    trailing -= l21 @ w.T
-    mirror_lower(trailing)

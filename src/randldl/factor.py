@@ -64,12 +64,11 @@ from .pivot import (
     SBKP_ALPHA,
     PivotDecision,
     PivotKind,
-    PivotParams,
     _bbk_from_data,
     _bkpp_from_data,
     _sbkp_from_data,
 )
-from .sketch import RngSpec, SketchState, partial_qrcp
+from .sketch import partial_qrcp
 
 __all__ = [
     "Strategy",
@@ -84,7 +83,6 @@ __all__ = [
     "PAT_DEFICIENT",
     "factor",
     "factor_robust",
-    "compute_panel_columns",
     "reconstruct",
 ]
 
@@ -226,57 +224,11 @@ def _block_multipliers(c0: np.ndarray, c1: np.ndarray | None) -> tuple[np.ndarra
     return np.column_stack([l1, l2]), np.array([[d11, d21], [d21, d22]])
 
 
-def compute_panel_columns(
-    a: np.ndarray,
-    k: int,
-    s: int,
-    pivot_block: np.ndarray | None = None,
-    counters: OpCounters | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Multipliers below an accepted pivot block of the active matrix.
-
-    Reads columns ``k:k+s`` of the Schur complement stored in ``a[k:, k:]``
-    and returns ``(l_cols, d_block)`` where ``l_cols`` is (n-k-s, s).  When
-    ``pivot_block`` is given it overrides the block read from ``a`` (the
-    rows below it are still taken from ``a``).  When ``counters`` is given
-    it is charged with the multiplier arithmetic, matching the model used
-    inside :func:`factor`.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if s not in (1, 2):
-        raise ValueError(f"pivot block size must be 1 or 2, got {s}")
-    if not (0 <= k and k + s <= n):
-        raise ValueError(f"pivot block ({k}, {s}) out of range for n={n}")
-    c0 = a[k:, k].copy()
-    c1 = a[k:, k + 1].copy() if s == 2 else None
-    if pivot_block is not None:
-        pivot_block = np.asarray(pivot_block, dtype=np.float64).reshape(s, s)
-        c0[0] = pivot_block[0, 0]
-        if s == 2:
-            c0[1] = pivot_block[1, 0]
-            c1[0] = pivot_block[0, 1]
-            c1[1] = pivot_block[1, 1]
-    lcols, dblock = _block_multipliers(c0, c1)
-    if counters is not None:
-        w = n - k - s
-        if s == 1:
-            if lcols.size and float(np.abs(lcols).max()) != 0.0:
-                counters.divs += w
-        else:
-            counters.divs += 2 * w
-            counters.mults += 4 * w + 2
-            counters.adds += 2 * w + 1
-    return lcols, dblock
-
-
 class _Engine:
     """One factorization run; see the module docstring for the plan."""
 
     def __init__(self, a: np.ndarray, cfg: FactorConfig):
         a = require_symmetric(a, "A")
-        if a.shape[0] == 0:
-            raise ValueError("cannot factor an empty (0 x 0) matrix")
         if not np.isfinite(a).all():
             raise ValueError("input matrix contains NaN or Inf")
         self.cfg = cfg
@@ -296,18 +248,19 @@ class _Engine:
         self.q_eff = 1 if self.eager else cfg.q
 
         self.strategy = cfg.strategy
-        alpha = SBKP_ALPHA if self.strategy is Strategy.RCP else BK_ALPHA
-        self.params = PivotParams(alpha)
+        self.alpha = SBKP_ALPHA if self.strategy is Strategy.RCP else BK_ALPHA
 
-        self.sketch: SketchState | None = None
+        # The sketch B = Omega A exists for rcp only.  Every Omega, including
+        # the guard's fresh ones, comes from one Philox stream, so a run is
+        # reproducible given the seed.
         self.B: np.ndarray | None = None
         self.omega: np.ndarray | None = None
         self.p = cfg.p
+        self.recompute_count = 0
         if self.strategy is Strategy.RCP:
-            self.sketch = SketchState(p=cfg.p, spec=RngSpec(cfg.seed))
-            self.omega = self.sketch.draw(cfg.p, n)
+            self.rng = np.random.Generator(np.random.Philox(cfg.seed))
+            self.omega = self.rng.standard_normal((cfg.p, n))
             self.B = self.omega @ self.A
-            self.sketch.B = self.B
             if not cfg.audit_sketch:
                 self.omega = None
 
@@ -397,11 +350,11 @@ class _Engine:
         exponent before re-testing.
         """
         k, m = self.k, self.n - self.k
-        omega = self.sketch.draw(self.p, m)
+        omega = self.rng.standard_normal((self.p, m))
         self.B[:, k:] = omega @ self.A[k:, k:]
         if self.omega is not None:
             self.omega[:, k:] = omega
-        self.sketch.recompute_count += 1
+        self.recompute_count += 1
         self.delta += 1.0 / self.cfg.robust_r
         self.threshold = _EPS**self.delta
         tsel = float(column_norms(self.B, from_col=k).max())
@@ -422,7 +375,7 @@ class _Engine:
                 sub=sub,
                 diag_at=self._diag_entry,
                 k=k,
-                params=self.params,
+                alpha=self.alpha,
                 counters=self.counters,
             )
         if self.strategy is Strategy.BKPP:
@@ -431,7 +384,7 @@ class _Engine:
                 sub=sub,
                 column_at=self._form_column,
                 k=k,
-                params=self.params,
+                alpha=self.alpha,
                 counters=self.counters,
             )
         return _bbk_from_data(
@@ -440,7 +393,7 @@ class _Engine:
             column_at=self._form_column,
             k=k,
             n=n,
-            params=self.params,
+            alpha=self.alpha,
             counters=self.counters,
         )
 
@@ -459,7 +412,7 @@ class _Engine:
             # anything below that (modulo rounding) marks a broken invariant.
             d21 = abs(float(dblock[1, 0]))
             det = float(dblock[0, 0]) * float(dblock[1, 1]) - d21 * d21
-            alpha = self.params.alpha
+            alpha = self.alpha
             if abs(det) < (1.0 - alpha * alpha) * d21 * d21 * (1.0 - 1e-12):
                 raise NumericalError(
                     f"2x2 block at step {k} violates its determinant bound"
@@ -523,7 +476,7 @@ class _Engine:
             counters=self.counters,
             snapshots=self.snapshots,
             sketch_drift=self.drift,
-            recompute_count=self.sketch.recompute_count if self.sketch else 0,
+            recompute_count=self.recompute_count,
         )
         if self.snapshots:
             stats.rho_elem, stats.rho_col = growth_from_snapshots(self.snapshots)
@@ -543,7 +496,7 @@ class _Engine:
         width = min(self.b_eff, n - self.k0)
         self.t = 0
         self.W = np.zeros((n - self.k0, min(width + 1, n - self.k0)))
-        if self.sketch is not None and self.q_eff > 1:
+        if self.B is not None and self.q_eff > 1:
             if self._panel_preselect(width) == "stop":
                 self.W = np.zeros((0, 0))
                 return
@@ -551,7 +504,7 @@ class _Engine:
             if self._step(width) != "ok":
                 break
         self._apply_trailing()
-        if self.sketch is not None and self.q_eff > 1 and self.t > 0 and self.k < n:
+        if self.B is not None and self.q_eff > 1 and self.t > 0 and self.k < n:
             # One correction per panel: B(:,trail) -= B(:,panel) Lpp^-T Ltp^T.
             k0, k = self.k0, self.k
             ltp = self.L[k:, k0:k]
@@ -604,7 +557,7 @@ class _Engine:
         m = n - k
         if self.snapshots is not None:
             self._snapshot()
-        if self.sketch is not None and self.q_eff == 1 and m > 1:
+        if self.B is not None and self.q_eff == 1 and m > 1:
             norms = column_norms(self.B, from_col=k)
             self.counters.comps += m - 1
             self.counters.mults += self.p * (m - 1)

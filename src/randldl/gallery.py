@@ -41,7 +41,6 @@ from scipy.linalg import hankel
 
 from .core import is_exactly_symmetric, mirror_lower
 from .pivot import BK_ALPHA
-from .sketch import RngSpec
 
 __all__ = [
     "MatrixSpec",
@@ -80,7 +79,7 @@ class MatrixSpec:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return RngSpec(seed=seed).generator()
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _growth_diagonal(count: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Stability metrics: growth factors, norms, sketch budgets, backward error."""
+"""Stability metrics: growth factors, norms, sketch sizes, backward error."""
 
 from __future__ import annotations
 
@@ -8,19 +8,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import require_square
+from .core import column_norms, require_square
 
 __all__ = [
     "OpCounters",
     "GrowthStats",
-    "JlBudget",
     "norm_1_inf",
     "norm_1_2",
     "norm_1",
     "linv_norm1",
     "growth_from_snapshots",
     "jl_required_p",
-    "jl_budget",
     "backward_error",
 ]
 
@@ -65,16 +63,6 @@ class GrowthStats:
     recompute_count: int = 0
 
 
-@dataclass
-class JlBudget:
-    """Sketch-size budget for norm preservation with failure rate delta."""
-
-    n: int
-    epsilon: float
-    delta: float
-    p_required: int
-
-
 def norm_1_inf(a: np.ndarray) -> float:
     """Max-magnitude entry of ``a``."""
     a = np.asarray(a, dtype=np.float64)
@@ -83,8 +71,6 @@ def norm_1_inf(a: np.ndarray) -> float:
 
 def norm_1_2(a: np.ndarray) -> float:
     """Largest Euclidean column norm of ``a``."""
-    from .core import column_norms
-
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
         return 0.0
@@ -142,10 +128,6 @@ def jl_required_p(n: int, epsilon: float, delta: float) -> int:
         raise ValueError("delta must lie in (0, 1)")
     bound = 4.0 / (epsilon**2 - epsilon**3) * math.log(n * (n + 1) / delta)
     return max(1, math.ceil(bound))
-
-
-def jl_budget(n: int, epsilon: float, delta: float) -> JlBudget:
-    return JlBudget(n=n, epsilon=epsilon, delta=delta, p_required=jl_required_p(n, epsilon, delta))
 
 
 def backward_error(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:

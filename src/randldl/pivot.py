@@ -1,20 +1,22 @@
 """Pivot selection rules for symmetric indefinite elimination.
 
-Three rules are provided, all operating on the leading column(s) of the
-active Schur complement and emitting a :class:`PivotDecision`:
+Three rules are provided.  Each reads the leading column of the active Schur
+complement (``a_kk`` and the magnitudes ``sub`` below it), fetches further
+columns or diagonal entries through a callback, and returns a
+:class:`PivotDecision`:
 
-* ``sbkp_decide``: simplified partial pivoting with threshold alpha =
+* ``_sbkp_from_data``: simplified partial pivoting with threshold alpha =
   sqrt(2)/2.  Used together with a column-norm pre-pivot; its 2x2 blocks
   have determinant at least ``(1 - alpha^2) * lambda^2`` in magnitude.
-* ``bkpp_decide``: classic partial pivoting with alpha = (1 + sqrt(17))/8.
+* ``_bkpp_from_data``: classic partial pivoting with alpha = (1 + sqrt(17))/8.
   Fast, but multipliers are unbounded on adversarial inputs.
-* ``bbk_decide``: bounded (rook) pivoting.  Alternates row and column scans
-  until the tested diagonal dominates its row, which bounds multipliers by
-  1/alpha for 1x1 pivots and 1/(1 - alpha) for 2x2 pivots at the cost of a
-  potentially quadratic search per step.
+* ``_bbk_from_data``: bounded (rook) pivoting.  Alternates row and column
+  scans until the tested diagonal dominates its row, which bounds multipliers
+  by 1/alpha for 1x1 pivots and 1/(1 - alpha) for 2x2 pivots at the cost of
+  a potentially quadratic search per step.
 
-The decision functions never modify the matrix; they only read it and
-increment the comparison counter by the length of each max scan.
+The rules never modify the matrix; they only read it and increment the
+comparison counter by the length of each max scan.
 """
 
 from __future__ import annotations
@@ -26,18 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import require_square
 from .metrics import OpCounters
 
 __all__ = [
     "PivotKind",
     "PivotDecision",
-    "PivotParams",
     "SBKP_ALPHA",
     "BK_ALPHA",
-    "sbkp_decide",
-    "bkpp_decide",
-    "bbk_decide",
 ]
 
 #: Threshold for the simplified rule; maximizes the 2x2 determinant bound.
@@ -70,15 +67,8 @@ class PivotDecision:
     p: int | None = None
 
 
-@dataclass(frozen=True)
-class PivotParams:
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-
-
+# ``column_at(j)`` returns column j of the active Schur complement from row k
+# down; ``diag_at(j)`` returns its diagonal entry j.
 ColumnProvider = Callable[[int], np.ndarray]
 DiagProvider = Callable[[int], float]
 
@@ -90,37 +80,18 @@ def _scan_max(values: np.ndarray, counters: OpCounters) -> tuple[float, int]:
     return float(values[j]), j
 
 
-def sbkp_decide(a: np.ndarray, k: int, params: PivotParams | None, counters: OpCounters) -> PivotDecision:
-    """Simplified rule on the (already column-pivoted) leading column.
-
-    Reads column k of the active Schur complement stored in ``a[k:, k:]``.
-    """
-    a = require_square(a)
-    _check_k(a, k)
-    params = params or PivotParams(SBKP_ALPHA)
-    return _sbkp_from_data(
-        a_kk=float(a[k, k]),
-        sub=np.abs(a[k + 1 :, k]),
-        diag_at=lambda r: float(a[r, r]),
-        k=k,
-        params=params,
-        counters=counters,
-    )
-
-
 def _sbkp_from_data(
     a_kk: float,
     sub: np.ndarray,
     diag_at: DiagProvider,
     k: int,
-    params: PivotParams,
+    alpha: float,
     counters: OpCounters,
 ) -> PivotDecision:
     lam, j = _scan_max(sub, counters) if sub.size else (0.0, 0)
     if sub.size == 0 or lam == 0.0:
         return PivotDecision(PivotKind.SKIP, s=1)
     r = k + 1 + j
-    alpha = params.alpha
     if abs(a_kk) >= alpha * lam:
         return PivotDecision(PivotKind.ONE_BY_ONE, s=1)
     if abs(diag_at(r)) >= alpha * lam:
@@ -128,34 +99,18 @@ def _sbkp_from_data(
     return PivotDecision(PivotKind.TWO_BY_TWO, s=2, r=r)
 
 
-def bkpp_decide(a: np.ndarray, k: int, params: PivotParams | None, counters: OpCounters) -> PivotDecision:
-    """Classic partial pivoting on column k of the active Schur complement."""
-    a = require_square(a)
-    _check_k(a, k)
-    params = params or PivotParams(BK_ALPHA)
-    return _bkpp_from_data(
-        a_kk=float(a[k, k]),
-        sub=np.abs(a[k + 1 :, k]),
-        column_at=lambda j: a[k:, j],
-        k=k,
-        params=params,
-        counters=counters,
-    )
-
-
 def _bkpp_from_data(
     a_kk: float,
     sub: np.ndarray,
     column_at: ColumnProvider,
     k: int,
-    params: PivotParams,
+    alpha: float,
     counters: OpCounters,
 ) -> PivotDecision:
     lam, j = _scan_max(sub, counters) if sub.size else (0.0, 0)
     if sub.size == 0 or lam == 0.0:
         return PivotDecision(PivotKind.SKIP, s=1)
     r = k + 1 + j
-    alpha = params.alpha
     if abs(a_kk) >= alpha * lam:
         return PivotDecision(PivotKind.ONE_BY_ONE, s=1)
     col_r = np.asarray(column_at(r), dtype=np.float64)
@@ -171,35 +126,18 @@ def _bkpp_from_data(
     return PivotDecision(PivotKind.TWO_BY_TWO, s=2, r=r)
 
 
-def bbk_decide(a: np.ndarray, k: int, params: PivotParams | None, counters: OpCounters) -> PivotDecision:
-    """Rook search on the active Schur complement."""
-    a = require_square(a)
-    _check_k(a, k)
-    params = params or PivotParams(BK_ALPHA)
-    return _bbk_from_data(
-        a_kk=float(a[k, k]),
-        sub=np.abs(a[k + 1 :, k]),
-        column_at=lambda j: a[k:, j],
-        k=k,
-        n=a.shape[0],
-        params=params,
-        counters=counters,
-    )
-
-
 def _bbk_from_data(
     a_kk: float,
     sub: np.ndarray,
     column_at: ColumnProvider,
     k: int,
     n: int,
-    params: PivotParams,
+    alpha: float,
     counters: OpCounters,
 ) -> PivotDecision:
     lam, j = _scan_max(sub, counters) if sub.size else (0.0, 0)
     if sub.size == 0 or lam == 0.0:
         return PivotDecision(PivotKind.SKIP, s=1)
-    alpha = params.alpha
     if abs(a_kk) >= alpha * lam:
         return PivotDecision(PivotKind.ONE_BY_ONE, s=1)
     # Rook walk: p_idx holds the previous candidate, imax the current one,
@@ -224,7 +162,3 @@ def _bbk_from_data(
         p_idx, imax, colmax = imax, jmax, rowmax
     raise AssertionError("rook search failed to terminate")  # pragma: no cover
 
-
-def _check_k(a: np.ndarray, k: int) -> None:
-    if not (0 <= k < a.shape[0]):
-        raise ValueError(f"pivot step k={k} out of range for n={a.shape[0]}")

@@ -1,135 +1,18 @@
-"""Gaussian sketching: projections, cheap downdates, and column selection.
+"""Column selection on a Gaussian sketch.
 
 A sketch is a p x m matrix ``B = Omega @ A`` whose column norms estimate the
-column norms of ``A``.  After a factorization step eliminates s columns, the
-sketch of the new Schur complement is obtained from the old one by a rank-s
-downdate costing O(p m) instead of a fresh O(p m^2) projection.
+column norms of ``A``.  The factorization engine draws ``Omega``, forms and
+downdates ``B`` itself; this module holds the batch selection used by q = b
+panels, which picks a panel's worth of columns from ``B`` at once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import column_norms
 
-__all__ = [
-    "RngSpec",
-    "SketchState",
-    "draw_gaussian",
-    "project",
-    "update_sketch",
-    "recompute_sketch",
-    "partial_qrcp",
-]
-
-#: Generator family used for every random draw in the package.  Philox is
-#: counter-based, so streams are reproducible and cheap to advance.
-RNG_STREAM = "philox"
-
-
-@dataclass(frozen=True)
-class RngSpec:
-    """Seed plus generator identity; equal specs yield identical draws."""
-
-    seed: int
-    stream: str = RNG_STREAM
-
-    def generator(self) -> np.random.Generator:
-        if self.stream != RNG_STREAM:
-            raise ValueError(f"unknown rng stream {self.stream!r}")
-        return np.random.Generator(np.random.Philox(self.seed))
-
-
-def draw_gaussian(rng: RngSpec, rows: int, cols: int) -> np.ndarray:
-    """Fresh i.i.d. standard normal matrix; same spec, same matrix."""
-    if rows < 1 or cols < 1:
-        raise ValueError("gaussian draw needs positive dimensions")
-    return rng.generator().standard_normal((rows, cols))
-
-
-def project(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Sketch ``B = Omega @ A`` with an explicit conformance check."""
-    omega = np.asarray(omega, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if omega.ndim != 2 or a.ndim != 2 or omega.shape[1] != a.shape[0]:
-        raise ValueError(
-            f"cannot project: Omega is {omega.shape}, A is {a.shape}"
-        )
-    return omega @ a
-
-
-@dataclass
-class SketchState:
-    """Live sketch of the active Schur complement during a factorization.
-
-    ``rng`` persists across recomputations: each fresh draw advances the
-    stream, so a run is reproducible given the seed and the number of
-    recomputations that occurred.
-    """
-
-    p: int
-    spec: RngSpec
-    B: np.ndarray | None = None
-    recompute_count: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("sketch size p must be positive")
-        self._gen = self.spec.generator()
-
-    def draw(self, rows: int, cols: int) -> np.ndarray:
-        return self._gen.standard_normal((rows, cols))
-
-    def initialize(self, a: np.ndarray) -> np.ndarray:
-        """Draw Omega and project the full matrix."""
-        omega = self.draw(self.p, a.shape[0])
-        self.B = project(omega, a)
-        return omega
-
-
-def update_sketch(
-    state: SketchState | None,
-    b1: np.ndarray,
-    b2: np.ndarray,
-    l21: np.ndarray,
-) -> np.ndarray:
-    """Downdate a sketch past an eliminated pivot block.
-
-    ``b1`` holds the s sketch columns of the pivot block, ``b2`` the trailing
-    columns, and ``l21`` the multipliers (trailing-by-s).  The sketch of the
-    new Schur complement is ``b2 - b1 @ l21.T``.  When ``state`` is given its
-    ``B`` is replaced by the result.
-    """
-    b1 = np.atleast_2d(np.asarray(b1, dtype=np.float64))
-    b2 = np.atleast_2d(np.asarray(b2, dtype=np.float64))
-    l21 = np.atleast_2d(np.asarray(l21, dtype=np.float64))
-    if l21.shape != (b2.shape[1], b1.shape[1]):
-        raise ValueError(
-            f"multiplier block {l21.shape} does not match sketch split "
-            f"({b1.shape[1]} pivot, {b2.shape[1]} trailing columns)"
-        )
-    result = b2 - b1 @ l21.T
-    if state is not None:
-        state.B = result
-    return result
-
-
-def recompute_sketch(state: SketchState, a_active: np.ndarray) -> np.ndarray:
-    """Replace the sketch with a fresh projection of the active matrix.
-
-    Draws a new Omega from the advanced stream, so repeated recomputations
-    are independent yet fully determined by the seed and call count.
-    """
-    a_active = np.asarray(a_active, dtype=np.float64)
-    if a_active.ndim != 2:
-        raise ValueError("active matrix must be 2-D")
-    omega = state.draw(state.p, a_active.shape[0])
-    state.B = project(omega, a_active)
-    state.recompute_count += 1
-    return state.B
+__all__ = ["partial_qrcp"]
 
 
 def partial_qrcp(b: np.ndarray, q: int) -> list[int]:

@@ -6,19 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from randldl import factor
 from randldl.core import (
-    apply_symmetric_permutation,
     column_norms,
-    compose_permutations,
     identity_permutation,
-    invert_permutation,
     is_exactly_symmetric,
     mirror_lower,
     require_square,
     require_symmetric,
-    schur_update,
     sym_swap,
 )
+from helpers import random_symmetric
 
 
 # -- validation ----------------------------------------------------------
@@ -59,51 +57,6 @@ def test_is_exactly_symmetric_is_bitwise():
 
 def test_identity_permutation():
     assert np.array_equal(identity_permutation(4), [0, 1, 2, 3])
-
-
-def test_invert_permutation_known_value():
-    assert np.array_equal(invert_permutation(np.array([2, 0, 1])), [1, 2, 0])
-
-
-def test_compose_permutations_known_value():
-    outer = np.array([1, 2, 0])
-    inner = np.array([2, 1, 0])
-    # (outer o inner)[i] = outer[inner[i]]
-    assert np.array_equal(compose_permutations(outer, inner), [0, 2, 1])
-
-
-@given(st.permutations(list(range(8))))
-def test_invert_permutation_roundtrip(p):
-    p = np.array(p)
-    assert np.array_equal(invert_permutation(invert_permutation(p)), p)
-    assert np.array_equal(compose_permutations(p, invert_permutation(p)), np.arange(8))
-
-
-@settings(max_examples=25)
-@given(st.permutations(list(range(6))), st.permutations(list(range(6))))
-def test_apply_symmetric_permutation_composes(p, q):
-    gen = np.random.Generator(np.random.Philox(7))
-    a = gen.standard_normal((6, 6))
-    a = a + a.T
-    p, q = np.array(p), np.array(q)
-    once = apply_symmetric_permutation(apply_symmetric_permutation(a, p), q)
-    composed = apply_symmetric_permutation(a, compose_permutations(p, q))
-    assert np.array_equal(once, composed)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [[0, 0], [0, 2], [-1, 0], [[0, 1]], [0.0, 1.0]],
-    ids=["duplicate", "out-of-range", "negative", "two-dimensional", "float-dtype"],
-)
-def test_permutation_validation(bad):
-    with pytest.raises(ValueError):
-        invert_permutation(np.array(bad))
-
-
-def test_apply_symmetric_permutation_length_mismatch():
-    with pytest.raises(ValueError, match="length"):
-        apply_symmetric_permutation(np.eye(3), np.array([0, 1]))
 
 
 # -- swaps and mirroring -------------------------------------------------
@@ -192,35 +145,54 @@ def test_column_norms_matches_reference(m):
 
 
 # -- Schur updates -------------------------------------------------------
+#
+# factor applies each step's update A22 - L21 A11 L21^T inside its engine,
+# either at once (b=1) or delayed to the end of a panel (b=64); both paths
+# are checked through what factor returns.
 
 
 def test_schur_update_one_by_one_known_value():
+    # Eliminating the 4 leaves [[2, 0], [0, 2]]: both later pivots see a
+    # zero column, so L and D expose the Schur complement exactly.
     a = np.array([[4.0, 2.0, 2.0], [2.0, 3.0, 1.0], [2.0, 1.0, 3.0]])
-    schur_update(a, k=0, s=1, l21=np.array([[0.5], [0.5]]), a11=np.array([[4.0]]))
-    assert np.array_equal(a[1:, 1:], [[2.0, 0.0], [0.0, 2.0]])
+    for b in (1, 64):
+        f = factor(a, strategy="bkpp", b=b)
+        assert np.array_equal(f.perm, [0, 1, 2])
+        assert np.array_equal(
+            f.L, [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]]
+        )
+        assert np.array_equal(f.D.to_dense(), np.diag([4.0, 2.0, 2.0]))
 
 
-def test_schur_update_two_by_two_matches_formula(rng):
-    a = rng.standard_normal((7, 7))
-    a = a + a.T
-    a11 = a[:2, :2].copy()
-    l21 = rng.standard_normal((5, 2))
-    expect = a[2:, 2:] - l21 @ a11 @ l21.T
-    schur_update(a, k=0, s=2, l21=l21, a11=a11)
-    assert np.allclose(a[2:, 2:], expect, rtol=1e-13)
-    assert is_exactly_symmetric(a[2:, 2:])
+def test_schur_update_two_by_two_matches_formula():
+    # A dominant off-diagonal over a zero diagonal makes the first pivot the
+    # 2x2 block A11; what factor leaves behind must be A22 - L21 A11 L21^T.
+    a = random_symmetric(7, seed=5)
+    a[:2, :2] = [[0.0, 10.0], [10.0, 0.0]]
+    for b in (1, 64):
+        f = factor(a, strategy="bkpp", b=b)
+        assert np.array_equal(f.perm[:2], [0, 1])
+        a11 = f.D.blocks[0]
+        assert np.array_equal(a11, a[:2, :2])
+        l21 = f.L[2:, :2]
+        rest = f.perm[2:] - 2
+        assert np.allclose(l21 @ a11, a[2:, :2][rest], rtol=1e-14, atol=1e-14)
+        schur = a[2:, 2:] - a[2:, :2] @ np.linalg.solve(a11, a[:2, 2:])
+        l22 = f.L[2:, 2:]
+        got = l22 @ f.D.to_dense()[2:, 2:] @ l22.T
+        assert np.allclose(got, schur[np.ix_(rest, rest)], rtol=1e-13, atol=1e-13)
 
 
 def test_schur_update_trailing_empty_is_noop():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    before = a.copy()
-    schur_update(a, k=0, s=2, l21=np.zeros((0, 2)), a11=a[:2, :2].copy())
-    assert np.array_equal(a, before)
-
-
-def test_schur_update_validation():
-    a = np.eye(4)
-    with pytest.raises(ValueError, match="1 or 2"):
-        schur_update(a, k=0, s=3, l21=np.zeros((1, 3)), a11=np.eye(3))
-    with pytest.raises(ValueError, match="out of range"):
-        schur_update(a, k=3, s=2, l21=np.zeros((0, 2)), a11=np.eye(2))
+    # Eliminating the 4 leaves [[0, 2], [2, 0]], taken as the last, 2x2,
+    # pivot.  No rows trail it, so its block is that Schur complement as it
+    # stands and its own L block stays the identity.
+    a = np.array([[4.0, 2.0, 2.0], [2.0, 1.0, 3.0], [2.0, 3.0, 1.0]])
+    for b in (1, 64):
+        f = factor(a, strategy="bkpp", b=b)
+        assert np.array_equal(f.perm, [0, 1, 2])
+        assert [blk.shape[0] for blk in f.D.blocks] == [1, 2]
+        assert np.array_equal(f.D.blocks[1], [[0.0, 2.0], [2.0, 0.0]])
+        assert np.array_equal(
+            f.L, [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]]
+        )

@@ -6,18 +6,17 @@ import pytest
 from randldl import (
     FactorConfig,
     NumericalError,
-    OpCounters,
     PAT_DEFICIENT,
     PAT_PAIR_END,
     PAT_PAIR_START,
     PAT_SINGLE,
     SBKP_ALPHA,
     Strategy,
-    compute_panel_columns,
     factor,
     factor_robust,
     reconstruct,
 )
+from randldl.factor import _block_multipliers
 from helpers import random_symmetric, recon_error
 
 STRATEGIES = ["rcp", "bkpp", "bbk"]
@@ -112,15 +111,18 @@ def test_factorization_is_deterministic():
 
 
 def test_blocked_matches_unblocked():
+    # Pivots are bitwise equal; L and D only to rounding, because a panel
+    # applies its updates in a different order.
     a = random_symmetric(80, seed=3)
-    eager = factor(a, strategy="rcp", b=1, q=1, seed=3)
-    blocked = factor(a, strategy="rcp", b=64, q=1, seed=3)
-    assert np.array_equal(eager.perm, blocked.perm)
-    assert np.array_equal(eager.pattern, blocked.pattern)
-    assert np.allclose(eager.L, blocked.L, rtol=1e-10, atol=1e-12)
-    assert np.allclose(
-        eager.D.to_dense(), blocked.D.to_dense(), rtol=1e-10, atol=1e-12
-    )
+    for strategy in STRATEGIES:
+        eager = factor(a, strategy=strategy, b=1, q=1, seed=3)
+        blocked = factor(a, strategy=strategy, b=64, q=1, seed=3)
+        assert np.array_equal(eager.perm, blocked.perm), strategy
+        assert np.array_equal(eager.pattern, blocked.pattern), strategy
+        assert np.allclose(eager.L, blocked.L, rtol=1e-10, atol=1e-12), strategy
+        assert np.allclose(
+            eager.D.to_dense(), blocked.D.to_dense(), rtol=1e-10, atol=1e-12
+        ), strategy
 
 
 def test_reconstruct_is_ldlt():
@@ -166,72 +168,58 @@ def test_guarded_mode_detects_zero_tail():
     assert recon_error(a, f) <= 1e-12
 
 
-# -- panel column helper -----------------------------------------------------
+# -- multipliers ---------------------------------------------------------------
 
 
 def test_panel_columns_single_pivot():
-    a = np.array([[2.0, 1.0, 3.0], [1.0, 1.0, 1.0], [3.0, 1.0, 1.0]])
-    lcols, dblock = compute_panel_columns(a, k=0, s=1)
+    lcols, dblock = _block_multipliers(np.array([2.0, 1.0, 3.0]), None)
     assert np.array_equal(lcols, [[0.5], [1.5]])
     assert np.array_equal(dblock, [[2.0]])
 
 
 def test_panel_columns_two_by_two_pivot():
-    a = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-    lcols, dblock = compute_panel_columns(a, k=0, s=2)
+    c0, c1 = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 3.0])
+    lcols, dblock = _block_multipliers(c0, c1)
     assert np.array_equal(lcols, [[3.0, 2.0]])
     assert np.array_equal(dblock, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_panel_columns_zero_trailing_rows():
-    a = np.array([[2.0, 0.0], [0.0, 5.0]])
-    lcols, _ = compute_panel_columns(a, k=0, s=1)
+    lcols, _ = _block_multipliers(np.array([2.0, 0.0]), None)
     assert np.array_equal(lcols, [[0.0]])
 
 
 def test_panel_columns_interior_offset():
+    # Row and column 0 are decoupled, so step 1 pivots on the 4 below them.
     a = np.zeros((4, 4))
-    a[1:, 1] = [4.0, 2.0, 6.0]
-    lcols, dblock = compute_panel_columns(a, k=1, s=1)
-    assert np.array_equal(lcols, [[0.5], [1.5]])
-    assert np.array_equal(dblock, [[4.0]])
-
-
-def test_panel_columns_pivot_block_override():
-    a = np.array([[9.0, 9.0], [4.0, 9.0]])
-    lcols, dblock = compute_panel_columns(a, k=0, s=1, pivot_block=[[2.0]])
-    assert np.array_equal(lcols, [[2.0]])
-    assert np.array_equal(dblock, [[2.0]])
+    a[0, 0] = 1.0
+    a[1:, 1] = a[1, 1:] = [4.0, 2.0, 6.0]
+    a[2, 2], a[3, 3] = 5.0, 5.0
+    f = factor(a, strategy="bkpp")
+    assert np.array_equal(f.perm, [0, 1, 2, 3])
+    assert np.array_equal(f.L[2:, 1], [0.5, 1.5])
+    assert np.array_equal(f.D.blocks[1], [[4.0]])
 
 
 def test_panel_columns_charge_counters():
+    # Divisions are charged only for multipliers: w per 1x1 step, 2w per 2x2.
     a = np.array([[2.0, 1.0, 3.0], [1.0, 1.0, 1.0], [3.0, 1.0, 1.0]])
-    counters = OpCounters()
-    compute_panel_columns(a, k=0, s=1, counters=counters)
-    assert (counters.divs, counters.mults, counters.adds) == (2, 0, 0)
-    counters = OpCounters()
+    assert factor(a, strategy="bkpp", b=1).stats.counters.divs == 2 + 1
+    # One 2x2 step over one trailing row: 2 divisions, 4w + 2 = 6 multiplies
+    # and 2w + 1 = 3 adds, plus 2 of each for the trailing update; one scan
+    # of column 0 and one of column r.
     b = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-    compute_panel_columns(b, k=0, s=2, counters=counters)
-    assert (counters.divs, counters.mults, counters.adds) == (2, 6, 3)
-    counters = OpCounters()
-    compute_panel_columns(np.array([[2.0, 0.0], [0.0, 5.0]]), 0, 1, counters=counters)
-    assert counters.divs == 0  # zero column, no divisions performed
-
-
-def test_panel_columns_validation():
-    a = np.eye(3)
-    with pytest.raises(ValueError, match="1 or 2"):
-        compute_panel_columns(a, k=0, s=3)
-    with pytest.raises(ValueError, match="out of range"):
-        compute_panel_columns(a, k=2, s=2)
+    c = factor(b, strategy="bkpp", b=1).stats.counters
+    assert (c.mults, c.adds, c.divs, c.comps) == (8, 5, 2, 2)
+    zero = factor(np.array([[2.0, 0.0], [0.0, 5.0]]), strategy="bkpp").stats.counters
+    assert zero.divs == 0  # zero column, no divisions performed
 
 
 def test_panel_columns_numerical_errors():
     with pytest.raises(NumericalError, match="zero 1x1 pivot"):
-        compute_panel_columns(np.array([[0.0, 1.0], [1.0, 0.0]]), k=0, s=1)
-    singular = np.array([[1.0, 1.0, 5.0], [1.0, 1.0, 7.0], [5.0, 7.0, 0.0]])
+        _block_multipliers(np.array([0.0, 1.0]), None)
     with pytest.raises(NumericalError, match="singular 2x2"):
-        compute_panel_columns(singular, k=0, s=2)
+        _block_multipliers(np.array([1.0, 1.0, 5.0]), np.array([1.0, 1.0, 7.0]))
 
 
 # -- diagnostics -------------------------------------------------------------

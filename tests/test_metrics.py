@@ -8,11 +8,9 @@ import pytest
 from randldl import factor
 from randldl.metrics import (
     GrowthStats,
-    JlBudget,
     OpCounters,
     backward_error,
     growth_from_snapshots,
-    jl_budget,
     jl_required_p,
     linv_norm1,
     norm_1,
@@ -96,11 +94,6 @@ def test_required_sketch_size_validation():
         jl_required_p(10, 1.0, 0.5)
     with pytest.raises(ValueError, match="delta"):
         jl_required_p(10, 0.5, 0.0)
-
-
-def test_jl_budget_carries_inputs():
-    budget = jl_budget(1000, 0.5, 0.05)
-    assert budget == JlBudget(n=1000, epsilon=0.5, delta=0.05, p_required=538)
 
 
 # -- counters and backward error -----------------------------------------

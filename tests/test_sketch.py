@@ -1,118 +1,95 @@
-"""Gaussian sketching: reproducible draws, downdates, column selection."""
+"""Gaussian sketching inside factor: reproducible draws, downdates, column selection."""
 
 import numpy as np
 import pytest
 
+from randldl import PAT_PAIR_START, FactorConfig, factor, factor_robust
 from randldl.core import column_norms
-from randldl.sketch import (
-    RngSpec,
-    SketchState,
-    draw_gaussian,
-    partial_qrcp,
-    project,
-    recompute_sketch,
-    update_sketch,
-)
+from randldl.factor import _Engine
+from randldl.gallery import MatrixSpec, generate
+from randldl.sketch import partial_qrcp
+from helpers import random_symmetric
 
 
 # -- random draws --------------------------------------------------------
 
 
 def test_draws_are_reproducible():
-    a = draw_gaussian(RngSpec(seed=7), 3, 4)
-    b = draw_gaussian(RngSpec(seed=7), 3, 4)
-    assert np.array_equal(a, b)
+    # A strongly diagonal matrix accepts every sketch-chosen column as a 1x1
+    # pivot, so the first pivot is the largest column of the sketch the
+    # engine draws: p rows of the Philox stream seeded with ``seed``.
+    n, p, seed = 12, 5, 7
+    a = np.diag(np.arange(1.0, n + 1.0) * 10.0) + 0.01 * random_symmetric(n, seed=1)
+    omega = np.random.Generator(np.random.Philox(seed)).standard_normal((p, n))
+    expect = int(np.argmax(column_norms(omega @ a)))
+    first = factor(a, p=p, seed=seed, b=1)
+    again = factor(a, p=p, seed=seed, b=1)
+    assert first.perm[0] == expect
+    assert np.array_equal(first.perm, again.perm)
 
 
 def test_different_seeds_differ():
-    a = draw_gaussian(RngSpec(seed=1), 3, 4)
-    b = draw_gaussian(RngSpec(seed=2), 3, 4)
-    assert not np.array_equal(a, b)
-
-
-def test_unknown_stream_rejected():
-    with pytest.raises(ValueError, match="stream"):
-        RngSpec(seed=0, stream="mt19937").generator()
-
-
-def test_draw_dimension_validation():
-    with pytest.raises(ValueError, match="positive"):
-        draw_gaussian(RngSpec(seed=0), 0, 3)
-
-
-# -- projection ----------------------------------------------------------
-
-
-def test_project_is_exact_on_integers():
-    omega = np.array([[1.0, 2.0]])
-    a = np.array([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(project(omega, a), [[13.0, 16.0]])
-
-
-def test_project_conformance_check():
-    with pytest.raises(ValueError, match="cannot project"):
-        project(np.zeros((2, 3)), np.zeros((4, 4)))
-
-
-# -- sketch state and downdate -------------------------------------------
+    a = random_symmetric(50, seed=4)
+    assert not np.array_equal(factor(a, seed=1).perm, factor(a, seed=2).perm)
 
 
 def test_sketch_state_initialize_projects():
-    a = np.arange(9.0).reshape(3, 3)
-    state = SketchState(p=2, spec=RngSpec(seed=5))
-    omega = state.initialize(a)
-    assert np.array_equal(state.B, omega @ a)
+    # Before the first step the engine holds B = Omega @ A, with Omega the
+    # first p x n draws of the Philox stream seeded with ``seed``.
+    a = random_symmetric(6, seed=2)
+    engine = _Engine(a, FactorConfig(p=2, seed=5))
+    omega = np.random.Generator(np.random.Philox(5)).standard_normal((2, 6))
+    assert np.array_equal(engine.B, omega @ a)
 
 
 def test_sketch_state_needs_positive_p():
+    a = random_symmetric(4, seed=0)
     with pytest.raises(ValueError, match="positive"):
-        SketchState(p=0, spec=RngSpec(seed=0))
+        factor(a, p=0)
+    with pytest.raises(ValueError, match="positive"):
+        factor_robust(a, p=0)
+
+
+# -- downdates and recomputation ------------------------------------------
 
 
 def test_update_sketch_known_value():
-    # b2 - b1 @ l21.T with b1=[[2]], b2=[[3, 5]], l21=[[1], [-1]].
-    out = update_sketch(None, [[2.0]], [[3.0, 5.0]], [[1.0], [-1.0]])
-    assert np.array_equal(out, [[1.0, 7.0]])
-
-
-def test_update_sketch_replaces_state():
-    state = SketchState(p=1, spec=RngSpec(seed=0))
-    out = update_sketch(state, [[2.0]], [[3.0, 5.0]], [[1.0], [-1.0]])
-    assert state.B is out
-
-
-def test_update_sketch_shape_check():
-    with pytest.raises(ValueError, match="multiplier block"):
-        update_sketch(None, [[1.0]], [[1.0, 2.0]], [[1.0]])
+    # One 1x1 step on the 4 gives l21 = [1, -1], so the downdate
+    # b2 - b1 @ l21.T turns b1 = [[-6]], b2 = [[3, 5]] into [[9, -1]].
+    a = np.array([[4.0, 4.0, -4.0], [4.0, 9.0, -1.0], [-4.0, -1.0, 9.0]])
+    engine = _Engine(a, FactorConfig(p=1, b=1, seed=0))
+    engine.B = np.array([[-6.0, 3.0, 5.0]])
+    engine._run_panel()  # one panel of width b=1 is one step
+    assert engine.k == 1
+    assert np.array_equal(engine.perm, [0, 1, 2])
+    assert np.array_equal(engine.L[1:, 0], [1.0, -1.0])
+    assert np.array_equal(engine.B[:, 1:], [[9.0, -1.0]])
 
 
 def test_update_sketch_matches_projected_schur_complement():
-    # Downdating the sketch of A past one elimination step gives exactly the
-    # same matrix as projecting the Schur complement columns directly.
-    gen = np.random.Generator(np.random.Philox(3))
-    a = gen.standard_normal((6, 6))
-    a = a + a.T
-    omega = gen.standard_normal((3, 6))
-    b = omega @ a
-    l21 = (a[1:, 0] / a[0, 0]).reshape(-1, 1)
-    got = update_sketch(None, b[:, :1], b[:, 1:], l21)
-    # Omega applied to the rank-1-updated columns: Omega @ (A[:,1:] - A[:,0:1] l21^T)
-    expect = omega @ (a[:, 1:] - a[:, :1] @ l21.T)
-    assert np.allclose(got, expect, rtol=1e-13)
+    # The audit keeps Omega and compares the downdated sketch with Omega
+    # applied to each Schur complement.  A zero diagonal makes the first
+    # pivot 2x2, so both downdate shapes are checked.
+    a = random_symmetric(9, seed=3)
+    np.fill_diagonal(a, 0.0)
+    f = factor(a, p=3, audit_sketch=True, seed=0)
+    assert f.pattern[0] == PAT_PAIR_START
+    drift = f.stats.sketch_drift
+    assert len(drift) == len(f.D.blocks) - 1  # every step but the last
+    assert max(drift) <= 1e-14
 
 
 def test_recompute_advances_stream_and_counts():
-    a = np.arange(16.0).reshape(4, 4)
-    s1 = SketchState(p=2, spec=RngSpec(seed=9))
-    s2 = SketchState(p=2, spec=RngSpec(seed=9))
-    s1.initialize(a)
-    s2.initialize(a)
-    first = recompute_sketch(s1, a).copy()
-    second = recompute_sketch(s1, a)
-    assert s1.recompute_count == 2
-    assert not np.array_equal(first, second)
-    # Same seed and call sequence reproduces the same draws.
-    assert np.array_equal(recompute_sketch(s2, a), first)
+    # Here the guard trips once, the fresh sketch does not confirm the
+    # collapse, and the remaining pivots follow that fresh sketch.  It is
+    # drawn from the seeded stream too, so a rerun repeats it exactly.
+    a = generate(MatrixSpec(family="type10", n=80, seed=0))
+    f1 = factor_robust(a, p=5, seed=0)
+    f2 = factor_robust(a, p=5, seed=0)
+    assert f1.stats.recompute_count == f2.stats.recompute_count == 1
+    assert f1.deficient_from is None
+    assert np.array_equal(f1.perm, f2.perm)
+    assert np.array_equal(f1.L, f2.L)
 
 
 # -- column selection ----------------------------------------------------

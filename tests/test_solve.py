@@ -6,12 +6,12 @@ import pytest
 from randldl import (
     BlockDiag,
     backward_error,
-    block_diag_solve,
     factor,
     factor_robust,
     solve,
     solve_many,
 )
+from randldl.solve import block_diag_solve
 from helpers import random_symmetric
 
 STRATEGIES = ["rcp", "bkpp", "bbk"]
