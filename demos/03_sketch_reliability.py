@@ -5,7 +5,7 @@ Three aspects of the Gaussian projection behind the "rcp" strategy:
 
 * the sketch-size formula that guarantees norm preservation,
 * the accuracy of the cheap rank-s downdates used instead of re-projecting,
-* the guarded mode that detects a numerically zero Schur complement and
+* the guarded mode that detects an exactly zero Schur complement and
   finishes early with zero trailing blocks.
 """
 
@@ -35,17 +35,23 @@ print(f"sketch drift: max = {max(f.stats.sketch_drift):.3e} "
       f"over {len(f.stats.sketch_drift)} panels")
 
 # ----------------------------------------------------------------------
-# 3. Guarded mode on a rank-deficient matrix.  This matrix has numerical
-#    rank about 55: its eigenvalues decay geometrically and everything
-#    beyond is flushed to zero.  The guard watches the selected sketched
-#    column norm; when it collapses, the sketch is recomputed once from a
-#    fresh projection, and if the collapse is confirmed the remaining
-#    indices become explicit zero blocks.
+# 3. Guarded mode on a rank-deficient matrix.  The guard watches the
+#    selected sketched column norm; when it falls below eps**(1/r) times its
+#    initial value, the sketch is recomputed once from a fresh projection,
+#    and if the collapse is confirmed the remaining indices become explicit
+#    zero blocks.  It catches a Schur complement that is exactly zero, as
+#    here: a rank-200 matrix whose other 100 rows and columns are zero,
+#    spread over random positions.  It does not catch numerical rank
+#    deficiency: on the geometrically decaying "type10" family rounding
+#    leaves the trailing Schur complement near eps * |A|, which stays above
+#    the threshold, so the guard never confirms a collapse there.
 # ----------------------------------------------------------------------
-n = 300
-a = generate(MatrixSpec(family="type10", n=n, seed=1))
+n, rank = 300, 200
+live = np.random.Generator(np.random.Philox(4)).permutation(n)[:rank]
+a = np.zeros((n, n))
+a[np.ix_(live, live)] = generate(MatrixSpec(family="type6", n=rank, seed=1))
 f = factor_robust(a, strategy="rcp", p=5, seed=0)
-print(f"deficient from index: {f.deficient_from} (of n={n})")
+print(f"deficient from index: {f.deficient_from} (of n={n}, rank {rank})")
 print(f"sketch recomputations: {f.stats.recompute_count}")
 print(f"growth factor rho = {f.stats.rho_cheap:.3f}")
 

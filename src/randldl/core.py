@@ -2,10 +2,12 @@
 
 Conventions used throughout the package:
 
-* A symmetric matrix is a square, C-contiguous ``float64`` ndarray whose
-  two triangles hold identical values.  Full storage keeps every kernel a
-  plain BLAS call; routines that rewrite a triangle mirror it afterwards so
-  the equality stays exact.
+* A symmetric matrix given to the package is a square ``float64`` ndarray
+  whose two triangles hold identical values.
+* The factorization keeps only the lower triangle of the block it is still
+  eliminating, as LAPACK ``dsytrf`` does: kernels that work on that block
+  read and write its lower triangle and leave the strict upper one alone.
+  ``mirror_lower`` rebuilds the full matrix where one is needed.
 * A permutation is a 1-D integer ndarray ``perm`` of length n containing
   each index exactly once.  Applied symmetrically it relabels the matrix as
   ``A[perm][:, perm]``.
@@ -20,6 +22,7 @@ __all__ = [
     "require_symmetric",
     "is_exactly_symmetric",
     "identity_permutation",
+    "exchange",
     "sym_swap",
     "mirror_lower",
     "column_norms",
@@ -53,19 +56,34 @@ def identity_permutation(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64)
 
 
-def sym_swap(a: np.ndarray, i: int, j: int) -> None:
-    """Swap rows and columns ``i`` and ``j`` of ``a`` in place.
+def exchange(x: np.ndarray, y: np.ndarray) -> None:
+    """Swap the contents of two same-shape views, through one temporary."""
+    tmp = x.copy()
+    x[...] = y
+    y[...] = tmp
 
-    A symmetric permutation only relabels entries, so exact symmetry is
-    preserved bit for bit.
+
+def sym_swap(a: np.ndarray, i: int, j: int) -> None:
+    """Swap rows and columns ``i`` and ``j`` of the lower triangle of ``a``.
+
+    Only the lower triangle of ``a`` (typically a view of the active block)
+    is read or written, in the order of LAPACK ``dsyswapr``: the row
+    segments left of ``i``, the column below ``i`` against the row left of
+    ``j``, the two diagonal entries, and the columns below ``j``.  Entry
+    ``(j, i)`` maps onto itself.  A symmetric permutation only relabels
+    entries, so the result is exactly ``np.tril`` of the relabeled matrix.
     """
     n = a.shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"swap indices ({i}, {j}) out of range for n={n}")
     if i == j:
         return
-    a[[i, j], :] = a[[j, i], :]
-    a[:, [i, j]] = a[:, [j, i]]
+    if i > j:
+        i, j = j, i
+    exchange(a[i, :i], a[j, :i])
+    exchange(a[i + 1 : j, i], a[j, i + 1 : j])
+    a[i, i], a[j, j] = a[j, j], a[i, i]
+    exchange(a[j + 1 :, i], a[j + 1 :, j])
 
 
 def mirror_lower(a: np.ndarray) -> np.ndarray:

@@ -17,11 +17,23 @@ matrix, where ``L`` is unit lower triangular and ``D`` is block diagonal with
 Elimination is organized in panels of width ``b``.  Inside a panel only the
 current pivot columns are updated (each formed from the frozen trailing
 matrix plus a correction against the panel's earlier columns); the trailing
-Schur complement is rebuilt once per panel with a matrix-matrix product.
-``b=1`` reproduces the classic eager per-step update.  With ``q=1`` the
-sketch selects one column per step; with ``q=b`` a partial QR with column
-pivoting on the sketch proposes the whole panel's candidate columns up front
-and the sketch is corrected once per panel.
+Schur complement is rebuilt once per panel by matrix-matrix products over
+column strips.  ``b=1`` reproduces the classic eager per-step update.  With
+``q=1`` the sketch selects one column per step; with ``q=b`` a partial QR
+with column pivoting on the sketch proposes the whole panel's candidate
+columns up front and the sketch is corrected once per panel.
+
+Only the lower triangle of the active block ``A[k:, k:]`` is kept, as in
+LAPACK ``dsytrf``/``dlasyf``.  A column is read as the row segment left of
+the diagonal plus the column segment from the diagonal down; swaps touch
+the active block's lower triangle only, as ``dsyswapr`` does; and each
+strip of the trailing update covers its columns from the diagonal down, so
+a panel of t columns costs about ``t m^2 / 2`` multiplies on an m x m block
+rather than ``t m^2``.  The strip products also update the upper half of
+each diagonal strip square, whose values are never used: no result depends
+on the strict upper triangle.  The rare paths that need the whole block
+(the guard's fresh projection, full growth tracking and the sketch audit)
+mirror a copy of it on demand.
 
 A guarded mode watches the selected sketch column norm; when it falls below
 ``eps**delta * beta`` (``beta`` being the initial sketch norm), the sketch is
@@ -45,6 +57,7 @@ from scipy.linalg import solve_triangular
 
 from .core import (
     column_norms,
+    exchange,
     identity_permutation,
     mirror_lower,
     require_symmetric,
@@ -87,6 +100,12 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Column-strip width of the trailing update.  Each strip also computes the
+# upper half of its diagonal square, so narrower strips waste fewer flops,
+# but each one is a separate GEMM call.  Widths 128-256 ran fastest for
+# m = 512-2048, t = 64 on one OpenBLAS thread of a 2-core x86-64 host.
+_STRIP = 128
 
 # Pattern labels, one per index of the factorization.
 PAT_SINGLE = 0
@@ -207,7 +226,7 @@ def _block_multipliers(c0: np.ndarray, c1: np.ndarray | None) -> tuple[np.ndarra
     if c1 is None:
         d = float(c0[0])
         sub = c0[1:]
-        if sub.size and float(np.abs(sub).max()) != 0.0:
+        if sub.any():
             if d == 0.0:
                 raise NumericalError("zero 1x1 pivot under a nonzero column")
             lcols = (sub / d)[:, None]
@@ -287,23 +306,22 @@ class _Engine:
         """Relabel positions i and j across every live array."""
         if i == j:
             return
-        sym_swap(self.A, i, j)
         k = self.k
+        sym_swap(self.A[k:, k:], i - k, j - k)
         if k:
-            self.L[[i, j], :k] = self.L[[j, i], :k]
+            exchange(self.L[i, :k], self.L[j, :k])
         if self.W.size:
-            wi, wj = i - self.k0, j - self.k0
-            self.W[[wi, wj], :] = self.W[[wj, wi], :]
+            exchange(self.W[i - self.k0], self.W[j - self.k0])
         if self.B is not None:
-            self.B[:, [i, j]] = self.B[:, [j, i]]
+            exchange(self.B[:, i], self.B[:, j])
         if self.omega is not None:
-            self.omega[:, [i, j]] = self.omega[:, [j, i]]
-        self.perm[[i, j]] = self.perm[[j, i]]
+            exchange(self.omega[:, i], self.omega[:, j])
+        self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
 
     def _form_column(self, j: int) -> np.ndarray:
         """Column j of the active Schur complement (rows k:), panel-corrected."""
         k, t = self.k, self.t
-        c = self.A[k:, j].copy()
+        c = np.concatenate((self.A[j, k:j], self.A[j:, j]))
         if t:
             c -= self.L[k:, self.k0 : self.k0 + t] @ self.W[j - self.k0, :t]
             self.counters.mults += t * c.size
@@ -320,14 +338,17 @@ class _Engine:
         return val
 
     def _apply_trailing(self) -> None:
-        """Push the panel's delayed updates into the stored trailing block."""
-        k, t = self.k, self.t
-        m = self.n - k
+        """Push the panel's delayed updates into the trailing lower triangle."""
+        k, k0, t, n = self.k, self.k0, self.t, self.n
+        m = n - k
         if t == 0 or m == 0:
             return
-        block = self.A[k:, k:]
-        block -= self.L[k:, self.k0 : self.k0 + t] @ self.W[k - self.k0 :, :t].T
-        mirror_lower(block)
+        panel = slice(k0, k0 + t)
+        # A 1-column strip would go to gemv, which rounds differently from
+        # gemm; the last strip absorbs a 1-column remainder.
+        cuts = (list(range(k, n - 1, _STRIP)) or [k]) + [n]
+        for c0, c1 in zip(cuts, cuts[1:]):
+            self.A[c0:, c0:c1] -= self.L[c0:, panel] @ self.W[c0 - k0 : c1 - k0, :t].T
         self.counters.mults += t * (m * (m + 1)) // 2
         self.counters.adds += t * (m * (m + 1)) // 2
 
@@ -351,7 +372,7 @@ class _Engine:
         """
         k, m = self.k, self.n - self.k
         omega = self.rng.standard_normal((self.p, m))
-        self.B[:, k:] = omega @ self.A[k:, k:]
+        self.B[:, k:] = omega @ self._active_block()
         if self.omega is not None:
             self.omega[:, k:] = omega
         self.recompute_count += 1
@@ -364,7 +385,8 @@ class _Engine:
 
     # -- pivot selection ---------------------------------------------------
 
-    def _decide(self) -> PivotDecision:
+    def _decide(self) -> tuple[PivotDecision, np.ndarray]:
+        """Pivot decision at step k, and the column k it was read from."""
         k, n = self.k, self.n
         c_k = self._form_column(k)
         sub = np.abs(c_k[1:])
@@ -377,7 +399,7 @@ class _Engine:
                 k=k,
                 alpha=self.alpha,
                 counters=self.counters,
-            )
+            ), c_k
         if self.strategy is Strategy.BKPP:
             return _bkpp_from_data(
                 a_kk=a_kk,
@@ -386,7 +408,7 @@ class _Engine:
                 k=k,
                 alpha=self.alpha,
                 counters=self.counters,
-            )
+            ), c_k
         return _bbk_from_data(
             a_kk=a_kk,
             sub=sub,
@@ -395,14 +417,21 @@ class _Engine:
             n=n,
             alpha=self.alpha,
             counters=self.counters,
-        )
+        ), c_k
 
     # -- elimination -----------------------------------------------------
 
-    def _eliminate(self, decision: PivotDecision) -> None:
+    def _eliminate(self, decision: PivotDecision, c0: np.ndarray | None) -> None:
+        """Eliminate the pivot block at k; ``c0`` is column k if still current."""
         k, n = self.k, self.n
         s = decision.s
-        c0 = self._form_column(k)
+        if c0 is None:
+            c0 = self._form_column(k)
+        elif self.t:
+            # The cost model charges the pivot column's formation at
+            # elimination whether or not the search's copy is reused.
+            self.counters.mults += self.t * c0.size
+            self.counters.adds += self.t * c0.size
         c1 = self._form_column(k + 1) if s == 2 else None
         lcols, dblock = _block_multipliers(c0, c1)
         if not np.isfinite(dblock).all() or not np.isfinite(lcols).all():
@@ -443,15 +472,19 @@ class _Engine:
 
     # -- diagnostics -----------------------------------------------------
 
+    def _active_block(self) -> np.ndarray:
+        """Full symmetric copy of the active block, mirrored from its lower triangle."""
+        return mirror_lower(self.A[self.k :, self.k :].copy())
+
     def _snapshot(self) -> None:
-        sub = self.A[self.k :, self.k :]
+        sub = self._active_block()
         self.snapshots.append((norm_1_inf(sub), float(column_norms(sub).max())))
 
     def _record_drift(self) -> None:
         k = self.k
         if k >= self.n:
             return
-        exact = self.omega[:, k:] @ self.A[k:, k:]
+        exact = self.omega[:, k:] @ self._active_block()
         err = norm_1_2(self.B[:, k:] - exact)
         denom = self.input_norm_12
         self.drift.append(err / denom if denom else err)
@@ -562,7 +595,7 @@ class _Engine:
             self.counters.comps += m - 1
             self.counters.mults += self.p * (m - 1)
             self.counters.adds += self.p * (m - 1)
-            jloc = int(np.argmax(norms))
+            jloc = int(norms.argmax())
             if self._robust_trip(float(norms[jloc])):
                 if t > 0:
                     return "defer"  # flush the panel, then retest at t == 0
@@ -571,17 +604,21 @@ class _Engine:
                     return "stop"
                 jloc = int(np.argmax(column_norms(self.B, from_col=k)))
             self._swap(k, k + jloc)
-        decision = self._decide()
+        decision, c_k = self._decide()
         if decision.s == 2 and t > 0 and t + 2 > width:
             return "defer"  # 2x2 would overflow the panel; restart fresh
+        # Column k as the search formed it stays valid unless a swap follows.
         if decision.kind is PivotKind.ONE_BY_ONE_SWAP_R:
             self._swap(k, decision.r)
+            c_k = None
         elif decision.kind is PivotKind.TWO_BY_TWO:
             if decision.p is not None:
                 self._swap(k, decision.p)
+                c_k = None
             if decision.r != k + 1:
                 self._swap(k + 1, decision.r)
-        self._eliminate(decision)
+                c_k = None
+        self._eliminate(decision, c_k)
         self.k += decision.s
         self.t += decision.s
         return "ok"

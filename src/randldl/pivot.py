@@ -76,7 +76,22 @@ DiagProvider = Callable[[int], float]
 def _scan_max(values: np.ndarray, counters: OpCounters) -> tuple[float, int]:
     """Max magnitude and its first index; counts the scan's comparisons."""
     counters.comps += max(values.size - 1, 0)
-    j = int(np.argmax(values))
+    j = int(values.argmax())
+    return float(values[j]), j
+
+
+def _scan_max_off(values: np.ndarray, d: int, counters: OpCounters) -> tuple[float, int]:
+    """Like ``_scan_max`` over every entry but ``values[d]`` (needs size >= 2).
+
+    ``values[d]`` is set to -inf for the scan and restored afterwards, which
+    finds the same value and index as scanning a copy without it but builds
+    no mask; the count is still that of the shorter scan.
+    """
+    counters.comps += max(values.size - 2, 0)
+    saved = values[d]
+    values[d] = -np.inf
+    j = int(values.argmax())
+    values[d] = saved
     return float(values[j]), j
 
 
@@ -114,10 +129,7 @@ def _bkpp_from_data(
     if abs(a_kk) >= alpha * lam:
         return PivotDecision(PivotKind.ONE_BY_ONE, s=1)
     col_r = np.asarray(column_at(r), dtype=np.float64)
-    absr = np.abs(col_r)
-    mask = np.ones(absr.size, dtype=bool)
-    mask[r - k] = False
-    sigma, _ = _scan_max(absr[mask], counters)
+    sigma, _ = _scan_max_off(np.abs(col_r), r - k, counters)
     a_rr = float(col_r[r - k])
     if abs(a_kk) * sigma >= alpha * lam * lam:
         return PivotDecision(PivotKind.ONE_BY_ONE, s=1)
@@ -148,12 +160,8 @@ def _bbk_from_data(
     colmax = lam
     for _ in range(n - k):
         col = np.asarray(column_at(imax), dtype=np.float64)
-        absc = np.abs(col)
-        mask = np.ones(absc.size, dtype=bool)
-        mask[imax - k] = False
-        offsets = np.nonzero(mask)[0]
-        rowmax, local = _scan_max(absc[mask], counters)
-        jmax = k + int(offsets[local])
+        rowmax, local = _scan_max_off(np.abs(col), imax - k, counters)
+        jmax = k + local
         if abs(col[imax - k]) >= alpha * rowmax:
             return PivotDecision(PivotKind.ONE_BY_ONE_SWAP_R, s=1, r=imax)
         if jmax == p_idx or rowmax <= colmax:

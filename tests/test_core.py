@@ -63,25 +63,58 @@ def test_identity_permutation():
 
 
 def test_sym_swap_matches_relabeling(rng):
-    a = rng.standard_normal((5, 5))
+    # Swapping 1 and 4 inside the active block a[1:, 1:] leaves its lower
+    # triangle equal to that of the relabeled matrix, and touches nothing
+    # else: not the strict upper triangle, not the eliminated row and column.
+    a = rng.standard_normal((6, 6))
     a = a + a.T
     b = a.copy()
-    sym_swap(b, 1, 4)
-    perm = np.array([0, 4, 2, 3, 1])
-    assert np.array_equal(b, a[np.ix_(perm, perm)])
-    assert is_exactly_symmetric(b)
+    sym_swap(b[1:, 1:], 0, 3)
+    perm = np.array([0, 4, 2, 3, 1, 5])
+    lower = np.tril(np.ones((6, 6), dtype=bool))
+    lower[0, :] = lower[:, 0] = False
+    assert np.array_equal(b[lower], a[np.ix_(perm, perm)][lower])
+    assert np.array_equal(b[~lower], a[~lower])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sym_swap_lower_triangle_property(data):
+    n = data.draw(st.integers(2, 9), label="n")
+    k = data.draw(st.integers(0, n - 2), label="k")
+    i = data.draw(st.integers(k, n - 2), label="i")
+    j = data.draw(st.integers(i + 1, n - 1), label="j")
+    a = random_symmetric(n, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    b = a.copy()
+    b[np.triu_indices(n, 1)] = np.nan  # a read of these would leak NaN below
+    before = b.copy()
+    if data.draw(st.booleans(), label="reversed"):
+        sym_swap(b[k:, k:], j - k, i - k)
+    else:
+        sym_swap(b[k:, k:], i - k, j - k)
+    perm = np.arange(n)
+    perm[[i, j]] = perm[[j, i]]
+    active = np.zeros((n, n), dtype=bool)
+    active[k:, k:] = np.tri(n - k, dtype=bool)
+    assert np.array_equal(b[active], a[np.ix_(perm, perm)][active])
+    assert np.array_equal(b[~active], before[~active], equal_nan=True)
 
 
 def test_sym_swap_same_index_is_noop(rng):
     a = rng.standard_normal((3, 3))
     b = a.copy()
-    sym_swap(b, 2, 2)
+    sym_swap(b[1:, 1:], 1, 1)
     assert np.array_equal(a, b)
 
 
 def test_sym_swap_out_of_range():
+    a = np.eye(4)
     with pytest.raises(ValueError, match="out of range"):
-        sym_swap(np.eye(2), 0, 2)
+        sym_swap(a, 0, 4)
+    with pytest.raises(ValueError, match="out of range"):
+        sym_swap(a[2:, 2:], 0, 2)  # index 2 of a 2x2 active block
+    with pytest.raises(ValueError, match="out of range"):
+        sym_swap(a[2:, 2:], -1, 1)
 
 
 def test_mirror_lower_known_value():

@@ -16,7 +16,7 @@ from randldl import (
     factor_robust,
     reconstruct,
 )
-from randldl.factor import _block_multipliers
+from randldl.factor import _block_multipliers, _Engine
 from helpers import random_symmetric, recon_error
 
 STRATEGIES = ["rcp", "bkpp", "bbk"]
@@ -166,6 +166,83 @@ def test_guarded_mode_detects_zero_tail():
     assert f.stats.recompute_count == 1
     assert np.array_equal(f.D.to_dense()[40:, 40:], np.zeros((25, 25)))
     assert recon_error(a, f) <= 1e-12
+
+
+def _zero_tail(n: int, rank: int) -> np.ndarray:
+    a = np.zeros((n, n))
+    a[:rank, :rank] = random_symmetric(rank, seed=5)
+    return a
+
+
+@pytest.mark.parametrize(
+    "kwargs, a",
+    [
+        (dict(), random_symmetric(150, seed=8)),
+        (dict(p=16, b=16, q=16), random_symmetric(150, seed=8)),
+        (dict(strategy="bkpp"), random_symmetric(150, seed=8)),
+        (dict(strategy="bbk"), random_symmetric(150, seed=8)),
+        (dict(b=1), random_symmetric(60, seed=8)),
+        (dict(audit_sketch=True), random_symmetric(60, seed=8)),
+        (dict(track_growth="full"), random_symmetric(60, seed=8)),
+        (dict(p=6, seed=2), _zero_tail(65, 40)),
+    ],
+    ids=["rcp", "rcp-q=b=16", "bkpp", "bbk", "b=1", "audit", "full", "robust-zero-tail"],
+)
+def test_engine_never_reads_strict_upper_triangle(kwargs, a):
+    # The engine keeps only the lower triangle of the active block: poisoning
+    # everything above the diagonal after set-up must change nothing.
+    cfg = FactorConfig(**kwargs)
+    clean = _Engine(a, cfg).run()
+    engine = _Engine(a, cfg)
+    engine.A[np.triu_indices(a.shape[0], 1)] = np.nan
+    poisoned = engine.run()
+    assert np.array_equal(poisoned.perm, clean.perm)
+    assert np.array_equal(poisoned.pattern, clean.pattern)
+    assert np.array_equal(poisoned.L, clean.L)
+    assert len(poisoned.D.blocks) == len(clean.D.blocks)
+    for got, want in zip(poisoned.D.blocks, clean.D.blocks):
+        assert np.array_equal(got, want)
+    assert poisoned.stats.counters == clean.stats.counters
+    assert poisoned.stats.recompute_count == clean.stats.recompute_count
+    assert poisoned.stats.snapshots == clean.stats.snapshots
+    assert poisoned.stats.sketch_drift == clean.stats.sketch_drift
+    if kwargs.get("p") == 6:
+        assert clean.deficient_from == 40  # the guard fired on the zero tail
+
+
+class _CountingEngine(_Engine):
+    """Counts column formations; ``fresh`` discards the search's column."""
+
+    def __init__(self, a, cfg, fresh):
+        super().__init__(a, cfg)
+        self.fresh = fresh
+        self.formed = 0
+
+    def _form_column(self, j):
+        self.formed += 1
+        return super()._form_column(j)
+
+    def _eliminate(self, decision, c0):
+        super()._eliminate(decision, None if self.fresh else c0)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("b", [1, 64])
+def test_elimination_reuses_the_searched_pivot_column(strategy, b):
+    # Column k as the search formed it is bitwise the column a fresh
+    # formation gives when no swap follows, and the cost model charges both.
+    a = random_symmetric(150, seed=9)
+    cfg = FactorConfig(strategy=strategy, b=b)
+    fresh = _CountingEngine(a, cfg, fresh=True)
+    reused = _CountingEngine(a, cfg, fresh=False)
+    want, got = fresh.run(), reused.run()
+    assert reused.formed < fresh.formed
+    assert np.array_equal(got.perm, want.perm)
+    assert np.array_equal(got.pattern, want.pattern)
+    assert np.array_equal(got.L, want.L)
+    for g, w in zip(got.D.blocks, want.D.blocks, strict=True):
+        assert np.array_equal(g, w)
+    assert got.stats.counters == want.stats.counters
 
 
 # -- multipliers ---------------------------------------------------------------

@@ -16,6 +16,8 @@ from randldl.pivot import (
     _bbk_from_data,
     _bkpp_from_data,
     _sbkp_from_data,
+    _scan_max,
+    _scan_max_off,
 )
 from helpers import random_symmetric
 
@@ -209,3 +211,24 @@ def test_comparison_counter_charges_scans():
     a = np.array([[2.0, 1.0, 1.0], [1.0, 5.0, 0.0], [1.0, 0.0, 5.0]])
     decide(_sbkp_from_data, a, counters=counters)
     assert counters.comps == 1  # one scan of the 2 subdiagonal entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]), min_size=2, max_size=9),
+    data=st.data(),
+)
+def test_off_diagonal_scan_matches_masked_scan(values, data):
+    # Reference: a scan of a copy with entry d masked out.  Drawing from a
+    # few values gives ties and all-zero columns.
+    absc = np.array(values)
+    d = data.draw(st.integers(0, absc.size - 1), label="d")
+    mask = np.ones(absc.size, dtype=bool)
+    mask[d] = False
+    want_counters, got_counters = OpCounters(), OpCounters()
+    want_value, local = _scan_max(absc[mask], want_counters)
+    want_index = int(np.nonzero(mask)[0][local])
+    before = absc.copy()
+    assert _scan_max_off(absc, d, got_counters) == (want_value, want_index)
+    assert got_counters == want_counters
+    assert np.array_equal(absc, before)  # the excluded entry is restored
