@@ -39,9 +39,27 @@ def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
+# Tile edge of the symmetry check.  A 128 x 128 tile of float64 is 128 KiB,
+# so its transposed partner is read from cache; comparing against the whole
+# ``a.T`` steps a full row of ``a`` per element (16 KiB at n = 2048).
+_TILE = 128
+
+
 def is_exactly_symmetric(a: np.ndarray) -> bool:
-    """True when both triangles hold identical values (no tolerance)."""
-    return bool(np.array_equal(a, a.T))
+    """True when ``a`` is square and both triangles hold identical values.
+
+    The comparison is exact (``==``, so a NaN fails it) and runs tile by
+    tile: each tile on or below the diagonal against its transposed partner.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(0, i + 1, _TILE):
+            rows, cols = slice(i, i + _TILE), slice(j, j + _TILE)
+            if not np.array_equal(a[rows, cols], a[cols, rows].T):
+                return False
+    return True
 
 
 def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -166,15 +166,45 @@ class FactorConfig:
             raise ValueError("robust_r must be non-negative")
 
 
-@dataclass
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class BlockDiag:
-    """Block diagonal factor: an ordered list of (1,1) and (2,2) arrays."""
+    """Block diagonal factor: an ordered tuple of (1,1) and (2,2) arrays.
 
-    blocks: list[np.ndarray]
+    The blocks are copied into one read-only buffer at construction, and the
+    arrays that the solve and ``max_abs`` read are derived from it once:
+    ``starts1`` and ``d1`` (start index and value of each 1x1 block), and
+    ``starts2``, ``d11``, ``d21``, ``d22`` and ``det = d11*d22 - d21*d21``
+    for the 2x2 blocks, which must be symmetric.  All of them are read-only,
+    so they cannot fall out of step with the blocks.
+    """
 
-    @property
-    def dim(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
+    def __init__(self, blocks) -> None:
+        arrays = [np.asarray(b, dtype=np.float64) for b in blocks]
+        if any(b.shape not in ((1, 1), (2, 2)) for b in arrays):
+            raise ValueError("diagonal blocks must be 1x1 or 2x2")
+        sizes = np.array([b.shape[0] for b in arrays], dtype=np.int64)
+        flat = _frozen(np.concatenate([b.ravel() for b in arrays]) if arrays else np.zeros(0))
+        offs = np.cumsum(sizes * sizes) - sizes * sizes  # where each block starts in flat
+        self.blocks = tuple(
+            flat[o : o + s * s].reshape(s, s) for s, o in zip(sizes.tolist(), offs.tolist())
+        )
+        self.dim = int(sizes.sum())
+        starts = np.cumsum(sizes) - sizes
+        one = sizes == 1
+        o2 = offs[~one]  # a 2x2 block is stored as d11, d12, d21, d22
+        if not np.array_equal(flat[o2 + 1], flat[o2 + 2]):
+            raise ValueError("2x2 diagonal blocks must be symmetric")
+        self.starts1 = _frozen(starts[one])
+        self.d1 = _frozen(flat[offs[one]])
+        self.starts2 = _frozen(starts[~one])
+        self.d11 = _frozen(flat[o2])
+        self.d21 = _frozen(flat[o2 + 2])
+        self.d22 = _frozen(flat[o2 + 3])
+        self.det = _frozen(self.d11 * self.d22 - self.d21 * self.d21)
 
     def to_dense(self) -> np.ndarray:
         n = self.dim
@@ -187,16 +217,18 @@ class BlockDiag:
         return d
 
     def max_abs(self) -> float:
-        return max((float(np.abs(b).max()) for b in self.blocks), default=0.0)
+        entries = np.concatenate((self.d1, self.d11, self.d21, self.d22))
+        return float(np.abs(entries).max(initial=0.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Factorization:
     """Result of :func:`factor`: ``A[perm][:, perm] == L @ D @ L.T``.
 
     ``pattern[i]`` labels index i as a single pivot, the start or end of a
     2x2 pivot pair, or part of the numerically zero tail of a rank-deficient
-    input.
+    input.  ``L`` is checked to be finite once, here, and then made
+    read-only, so a solve need not check it again.
     """
 
     perm: np.ndarray
@@ -204,6 +236,11 @@ class Factorization:
     D: BlockDiag
     pattern: np.ndarray
     stats: GrowthStats
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.L).all():
+            raise ValueError("L contains NaN or Inf")
+        self.L.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -259,6 +296,9 @@ class _Engine:
         self.perm = identity_permutation(n)
         self.pattern = np.zeros(n, dtype=np.int8)
         self.blocks: list[np.ndarray] = []
+        # Largest |multiplier| so far: every strictly lower entry of L is
+        # written once by _eliminate, and swaps only move entries between rows.
+        self.max_multiplier = 0.0
         self.counters = OpCounters()
         self.k = 0
 
@@ -447,6 +487,8 @@ class _Engine:
                     f"2x2 block at step {k} violates its determinant bound"
                 )
         self.L[k + s :, k : k + s] = lcols
+        if lcols.size:
+            self.max_multiplier = max(self.max_multiplier, float(np.abs(lcols).max()))
         w_rows = slice(k - self.k0, None)
         self.W[w_rows, self.t] = c0
         if s == 2:
@@ -497,15 +539,15 @@ class _Engine:
             self._terminate_deficient()
         while self.k < n and not self.terminated:
             self._run_panel()
-        dmax = BlockDiag(self.blocks).max_abs()
+        d = BlockDiag(self.blocks)
+        dmax = d.max_abs()
         if self.input_norm_1inf == 0.0:
             rho_cheap = 1.0 if dmax == 0.0 else math.inf
         else:
             rho_cheap = dmax / self.input_norm_1inf
-        max_mult = float(np.abs(np.tril(self.L, -1)).max()) if n > 1 else 0.0
         stats = GrowthStats(
             rho_cheap=rho_cheap,
-            max_multiplier=max_mult,
+            max_multiplier=self.max_multiplier,
             counters=self.counters,
             snapshots=self.snapshots,
             sketch_drift=self.drift,
@@ -518,7 +560,7 @@ class _Engine:
         return Factorization(
             perm=self.perm,
             L=self.L,
-            D=BlockDiag(self.blocks),
+            D=d,
             pattern=self.pattern,
             stats=stats,
         )

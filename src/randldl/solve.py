@@ -7,6 +7,12 @@ un-permute.  Exactly-zero 1x1 blocks and exactly-singular 2x2 blocks set the
 ``singular`` flag and zero the corresponding solution components; no epsilon
 test is applied to merely ill-conditioned blocks (a rank-revealing
 factorization has already zeroed negligible trailing blocks).
+
+The factorization is checked once, when it is built: ``L`` must be finite
+and is then read-only, and ``D`` is frozen with its block arrays derived.
+Each solve therefore checks only its right-hand side (a NaN or Inf raises
+``ValueError``) and runs the two triangular solves unchecked, as LAPACK
+``dsytrs`` does.
 """
 
 from __future__ import annotations
@@ -35,42 +41,35 @@ def block_diag_solve(d: BlockDiag, z: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve ``D w = z`` blockwise; ``z`` may be a vector or a matrix of columns.
 
     Returns ``(w, singular)``.  Singular blocks (exact zeros only) contribute
-    zero components instead of raising.
+    zero components instead of raising.  All blocks of one size are solved
+    together from the arrays ``d`` derived at construction.
     """
     w = np.array(z, dtype=np.float64, copy=True)
-    singular = False
-    i = 0
-    for blk in d.blocks:
-        s = blk.shape[0]
-        if s == 1:
-            dv = float(blk[0, 0])
-            if dv == 0.0:
-                singular = True
-                w[i] = 0.0
-            else:
-                w[i] /= dv
-        else:
-            d11, d21, d22 = float(blk[0, 0]), float(blk[1, 0]), float(blk[1, 1])
-            det = d11 * d22 - d21 * d21
-            if det == 0.0:
-                singular = True
-                w[i : i + 2] = 0.0
-            else:
-                z1 = np.array(w[i], copy=True)
-                z2 = np.array(w[i + 1], copy=True)
-                w[i] = (d22 * z1 - d21 * z2) / det
-                w[i + 1] = (d11 * z2 - d21 * z1) / det
-        i += s
-    if i != w.shape[0]:
-        raise ValueError(f"block diagonal covers {i} rows, expected {w.shape[0]}")
-    return w, singular
+    if d.dim != w.shape[0]:
+        raise ValueError(f"block diagonal covers {d.dim} rows, expected {w.shape[0]}")
+    rows = w[:, None] if w.ndim == 1 else w  # a view: one column per right-hand side
+    ok1 = d.d1 != 0.0
+    i = d.starts1[ok1]
+    rows[i] /= d.d1[ok1, None]
+    ok2 = d.det != 0.0
+    i = d.starts2[ok2]
+    d11, d21, d22, det = (x[ok2, None] for x in (d.d11, d.d21, d.d22, d.det))
+    z1, z2 = rows[i], rows[i + 1]
+    rows[i] = (d22 * z1 - d21 * z2) / det
+    rows[i + 1] = (d11 * z2 - d21 * z1) / det
+    s2 = d.starts2[~ok2]
+    zero = np.concatenate((d.starts1[~ok1], s2, s2 + 1))
+    rows[zero] = 0.0
+    return w, bool(zero.size)
 
 
 def _substitute(f: Factorization, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    if not np.isfinite(rhs).all():
+        raise ValueError("right-hand side contains NaN or Inf")
     y = rhs[f.perm]
-    z = solve_triangular(f.L, y, lower=True, unit_diagonal=True)
+    z = solve_triangular(f.L, y, lower=True, unit_diagonal=True, check_finite=False)
     w, singular = block_diag_solve(f.D, z)
-    v = solve_triangular(f.L, w, lower=True, unit_diagonal=True, trans="T")
+    v = solve_triangular(f.L, w, lower=True, unit_diagonal=True, trans="T", check_finite=False)
     x = np.empty_like(v)
     x[f.perm] = v
     return x, singular

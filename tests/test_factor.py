@@ -327,6 +327,20 @@ def test_audit_mode_reports_tiny_sketch_drift():
     assert drift and max(drift) <= 1e-10
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("b", [1, 64])
+def test_max_multiplier_is_largest_strict_lower_entry(strategy, b):
+    for n, seed in ((2, 0), (90, 1), (150, 2)):
+        f = factor(random_symmetric(n, seed=seed), strategy=strategy, b=b)
+        assert f.stats.max_multiplier == np.abs(np.tril(f.L, -1)).max()
+    # A deficient tail leaves its columns of L at zero.
+    a = np.zeros((65, 65))
+    a[:40, :40] = random_symmetric(40, seed=5)
+    f = factor_robust(a, strategy="rcp", p=6, seed=2, b=b)
+    assert f.deficient_from == 40
+    assert f.stats.max_multiplier == np.abs(np.tril(f.L, -1)).max()
+
+
 def test_counters_are_populated():
     a = random_symmetric(40, seed=9)
     f = factor(a, strategy="rcp", b=1, seed=0)

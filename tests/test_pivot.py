@@ -179,7 +179,7 @@ RULE_IDS = ["simplified", "partial", "rook"]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 10_000), j=st.integers(-8, 8))
 def test_decisions_are_scale_invariant(rule, seed, j):
     # Every test in every rule compares |x| against alpha*|y|; multiplying the
@@ -213,7 +213,7 @@ def test_comparison_counter_charges_scans():
     assert counters.comps == 1  # one scan of the 2 subdiagonal entries
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]), min_size=2, max_size=9),
     data=st.data(),

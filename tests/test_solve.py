@@ -1,10 +1,16 @@
 """Solve phase: substitution pipeline, singular handling, backward error."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from randldl import (
     BlockDiag,
+    Factorization,
+    GrowthStats,
     backward_error,
     factor,
     factor_robust,
@@ -45,6 +51,75 @@ def test_block_diag_solve_dimension_check():
     d = BlockDiag([np.array([[1.0]])])
     with pytest.raises(ValueError, match="covers"):
         block_diag_solve(d, np.zeros(3))
+
+
+def test_block_diag_rejects_malformed_blocks():
+    with pytest.raises(ValueError, match="1x1 or 2x2"):
+        BlockDiag([np.eye(3)])
+    with pytest.raises(ValueError, match="symmetric"):
+        BlockDiag([np.array([[1.0, 2.0], [3.0, 1.0]])])
+
+
+def _blockwise_reference(blocks: list[np.ndarray], z: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One block at a time in scalar arithmetic: the formulas block_diag_solve vectorizes."""
+    w = np.array(z, dtype=np.float64, copy=True)
+    singular = False
+    i = 0
+    for blk in blocks:
+        if blk.shape[0] == 1:
+            dv = float(blk[0, 0])
+            if dv == 0.0:
+                singular = True
+                w[i] = 0.0
+            else:
+                w[i] /= dv
+        else:
+            d11, d21, d22 = float(blk[0, 0]), float(blk[1, 0]), float(blk[1, 1])
+            det = d11 * d22 - d21 * d21
+            if det == 0.0:
+                singular = True
+                w[i : i + 2] = 0.0
+            else:
+                z1, z2 = w[i].copy(), w[i + 1].copy()
+                w[i] = (d22 * z1 - d21 * z2) / det
+                w[i + 1] = (d11 * z2 - d21 * z1) / det
+        i += blk.shape[0]
+    return w, singular
+
+
+_VALUE = st.floats(-100.0, 100.0).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
+
+
+@st.composite
+def _block(draw):
+    kind = draw(st.sampled_from(["1x1", "zero 1x1", "2x2", "singular 2x2"]))
+    if kind == "1x1":
+        return np.array([[draw(_VALUE)]])
+    if kind == "zero 1x1":
+        return np.zeros((1, 1))
+    d11, d21 = draw(_VALUE), draw(_VALUE)
+    if kind == "2x2":
+        return np.array([[d11, d21], [d21, draw(_VALUE)]])
+    # det = d11*d22 - d21*d21 is exactly zero for both shapes.
+    if draw(st.booleans()):
+        return np.full((2, 2), d21)
+    return np.array([[d11, 0.0], [0.0, 0.0]])
+
+
+@seed(20240601)
+@settings(max_examples=200)
+@given(blocks=st.lists(_block(), min_size=1, max_size=12), k=st.integers(0, 4), data=st.data())
+def test_block_diag_solve_matches_blockwise_reference(blocks, k, data):
+    # k = 0 is a vector right-hand side, k >= 1 a matrix of k columns.
+    n = sum(b.shape[0] for b in blocks)
+    shape = (n,) if k == 0 else (n, k)
+    size = n * max(k, 1)
+    z = np.array(data.draw(st.lists(_VALUE, min_size=size, max_size=size))).reshape(shape)
+    want, want_singular = _blockwise_reference(blocks, z)
+    got, singular = block_diag_solve(BlockDiag(blocks), z)
+    assert singular is want_singular
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # -- full solves -------------------------------------------------------------
@@ -102,6 +177,46 @@ def test_deficient_solve_flags_singular_and_stays_consistent():
     report = solve(f, b, a=a)
     assert report.singular
     assert report.backward_error <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_right_hand_side(bad):
+    f = factor(random_symmetric(6, seed=1), strategy="bkpp")
+    b = np.ones(6)
+    b[3] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        solve(f, b)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        solve_many(f, np.column_stack([np.ones(6), b]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factorization_rejects_non_finite_L(bad):
+    L = np.eye(3)
+    L[2, 0] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        Factorization(
+            perm=np.arange(3),
+            L=L,
+            D=BlockDiag([np.eye(1)] * 3),
+            pattern=np.zeros(3, dtype=np.int8),
+            stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
+        )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_factorization_is_frozen(strategy):
+    # The solve trusts the check made when the factorization was built, so
+    # neither L nor D may change afterwards.
+    f = factor(random_symmetric(12, seed=3), strategy=strategy)
+    arrays = [f.L, *f.D.blocks, f.D.d1, f.D.d11, f.D.d21, f.D.d22, f.D.det]
+    assert not any(x.flags.writeable for x in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        f.L[1, 0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        f.D.blocks[0][0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.L = np.full((12, 12), np.nan)
 
 
 def test_solve_validation():
