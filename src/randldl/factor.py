@@ -19,9 +19,11 @@ current pivot columns are updated (each formed from the frozen trailing
 matrix plus a correction against the panel's earlier columns); the trailing
 Schur complement is rebuilt once per panel by matrix-matrix products over
 column strips.  ``b=1`` reproduces the classic eager per-step update.  With
-``q=1`` the sketch selects one column per step; with ``q=b`` a partial QR
-with column pivoting on the sketch proposes the whole panel's candidate
-columns up front and the sketch is corrected once per panel.
+``q=1`` the sketch selects one column per step; with ``q=b`` one LAPACK
+``dgeqp3`` call (QR with column pivoting) on the sketch proposes the whole
+panel's candidate columns up front and the sketch is corrected once per
+panel.  ``dgeqp3`` scales its column norms, so they neither overflow nor
+underflow and a power-of-two scaling of the sketch leaves the choice as is.
 
 Only the lower triangle of the active block ``A[k:, k:]`` is kept, as in
 LAPACK ``dsytrf``/``dlasyf``.  A column is read as the row segment left of
@@ -285,13 +287,17 @@ class _Engine:
 
     def __init__(self, a: np.ndarray, cfg: FactorConfig):
         a = require_symmetric(a, "A")
-        if not np.isfinite(a).all():
-            raise ValueError("input matrix contains NaN or Inf")
         self.cfg = cfg
         self.n = a.shape[0]
         n = self.n
         self.A = np.array(a, dtype=np.float64, copy=True)
-        self.input_norm_1inf = norm_1_inf(self.A)
+        # One pass each for the largest and smallest entry: a NaN propagates
+        # into both and an infinity reaches one of them, and together they
+        # give max |a_ij| without an n x n temporary.
+        hi, lo = float(self.A.max()), float(self.A.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise ValueError("input matrix contains NaN or Inf")
+        self.input_norm_1inf = max(hi, -lo)
         self.L = np.eye(n)
         self.perm = identity_permutation(n)
         self.pattern = np.zeros(n, dtype=np.int8)

@@ -389,8 +389,9 @@ def test_config_validation(kwargs):
         np.array([[1.0, 2.0], [3.0, 4.0]]),
         np.array([[np.nan, 0.0], [0.0, 1.0]]),
         np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, -np.inf]]),
     ],
-    ids=["empty", "rectangular", "asymmetric", "nan", "inf"],
+    ids=["empty", "rectangular", "asymmetric", "nan", "inf", "neg_inf"],
 )
 def test_input_validation(a):
     with pytest.raises(ValueError):

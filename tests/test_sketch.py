@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from randldl import PAT_PAIR_START, FactorConfig, factor, factor_robust
 from randldl.core import column_norms
 from randldl.factor import _Engine
 from randldl.gallery import MatrixSpec, generate
 from randldl.sketch import partial_qrcp
-from helpers import random_symmetric
+from helpers import random_symmetric, reference_partial_qrcp
 
 
 # -- random draws --------------------------------------------------------
@@ -134,3 +136,53 @@ def test_partial_qrcp_validation():
         partial_qrcp(np.zeros((2, 3)), 3)
     with pytest.raises(ValueError, match="q="):
         partial_qrcp(np.zeros((2, 3)), 0)
+
+
+def _gaussian_sketch(draw_seed: int, p: int, m: int) -> np.ndarray:
+    return np.random.Generator(np.random.Philox(draw_seed)).standard_normal((p, m))
+
+
+@seed(20261018)
+@settings(max_examples=150)
+@given(
+    draw_seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 10),
+    m=st.integers(1, 12),
+    e=st.integers(-1000, 1000),
+)
+def test_partial_qrcp_is_scale_invariant(draw_seed, p, m, e):
+    # Scaling by a power of two is exact, and the selection compares scaled
+    # norms, so c * B picks the same columns as B at every q.
+    b = _gaussian_sketch(draw_seed, p, m)
+    c = 2.0**e
+    for q in range(1, min(p, m) + 1):
+        assert partial_qrcp(c * b, q) == partial_qrcp(b, q)
+
+
+@seed(20261019)
+@settings(max_examples=150)
+@given(
+    draw_seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 10),
+    m=st.integers(1, 12),
+    data=st.data(),
+)
+def test_partial_qrcp_matches_reference_loop(draw_seed, p, m, data):
+    # On unit-scale sketches, wide (p < m) and tall (p > m), the LAPACK
+    # selection equals the greedy Python Householder loop's.
+    q = data.draw(st.integers(1, min(p, m)))
+    b = _gaussian_sketch(draw_seed, p, m)
+    assert partial_qrcp(b, q) == reference_partial_qrcp(b, q)
+
+
+def test_panel_preselect_replays_selection_as_symmetric_swaps():
+    # A q = b panel swaps its selected columns to the front in selection
+    # order, permuting the active lower triangle and the sketch alike.
+    a = random_symmetric(40, seed=6)
+    engine = _Engine(a, FactorConfig(p=16, b=16, q=16, seed=3))
+    b0 = engine.B.copy()
+    assert engine._panel_preselect(16) == "go"
+    perm = engine.perm
+    assert list(perm[:16]) == partial_qrcp(b0, 16)
+    assert np.array_equal(np.tril(engine.A), np.tril(a[np.ix_(perm, perm)]))
+    assert np.array_equal(engine.B, b0[:, perm])
