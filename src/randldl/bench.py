@@ -3,7 +3,7 @@
 ``run`` sweeps the full grid strategies x families x sizes x p x trials.
 Each cell builds its matrix, draws a reference solution ``x_true`` with
 entries uniform on (-1, 1), forms ``b = A @ x_true``, then times
-factorization-plus-solve (median of at least three repetitions of the same
+factorization-plus-solve (median of ``reps`` >= 3 repetitions of the same
 seeded computation) and records growth, backward error, triangle norms, and
 operation counts.  Failures are caught per cell and written to the ``error``
 column; the run continues.
@@ -113,8 +113,8 @@ class BenchConfig:
             raise ValueError("trials must be >= 1")
         if any(p < 1 for p in self.p_values):
             raise ValueError("p values must be >= 1")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        if self.reps < 3:
+            raise ValueError("reps must be >= 3")
         GrowthTracking(self.track_growth)
 
 
@@ -180,7 +180,7 @@ def _run_cell(cfg: BenchConfig, strategy: str, family: str, n: int, p: int, tria
         )
         times = []
         f = report = None
-        for _ in range(max(cfg.reps, 3)):
+        for _ in range(cfg.reps):
             t0 = time.perf_counter_ns()
             f = factor(a, fc)
             report = solve(f, b)

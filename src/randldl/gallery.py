@@ -21,14 +21,14 @@ Families (all dense, float64, exactly symmetric):
   magnitudes below 1e-300 are flushed to exact zeros, so the numerical rank
   stays bounded (about 55) however large ``n`` grows.
 
-Matrix Market support is deliberately narrow: real or integer fields,
-``coordinate`` or ``array`` formats, ``symmetric`` storage (lower triangle)
-or ``general`` storage that is exactly symmetric.  Everything else --
-complex, pattern, skew-symmetric, hermitian data, rectangular shapes,
-duplicate coordinate entries, dimensions beyond the cap -- raises
-``ValueError`` with a descriptive message.  :func:`save_matrix_market`
-writes ``repr`` floats so a save/load round trip reproduces every entry
-exactly.
+Matrix Market I/O wraps ``scipy.io``, imported on first use.  The loader
+checks the header before reading data and accepts real or integer fields,
+``coordinate`` or ``array`` formats, and ``symmetric`` storage (mirrored) or
+exactly symmetric ``general`` storage.  Other fields and symmetries,
+rectangular or oversized shapes, duplicate entries (a pair ``(i, j)``,
+``(j, i)`` in symmetric storage included) and short packed arrays raise
+``ValueError`` naming the file.  Saving writes shortest round-trip values,
+so a save/load round trip is bitwise.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import hankel
 
-from .core import is_exactly_symmetric, mirror_lower
+from .core import is_exactly_symmetric, mirror_lower, require_symmetric
 from .pivot import BK_ALPHA
 
 __all__ = [
@@ -242,133 +242,67 @@ FAMILIES = frozenset(
 )
 
 
-def _parse_header(line: str, path: str) -> tuple[str, str, str]:
-    parts = line.strip().lower().split()
-    if len(parts) != 5 or parts[0] != "%%matrixmarket" or parts[1] != "matrix":
-        raise ValueError(f"{path}: not a Matrix Market matrix header: {line.strip()!r}")
-    fmt, field, symmetry = parts[2], parts[3], parts[4]
-    if fmt not in ("coordinate", "array"):
-        raise ValueError(f"{path}: unsupported format {fmt!r}")
+def _data_line_count(path: str) -> int:
+    """Count the lines after the size line that are neither blank nor comments."""
+    with open(path, "rb") as fh:
+        lines = (s for s in map(bytes.strip, fh) if s and not s.startswith(b"%"))
+        next(lines, None)  # the size line
+        return sum(1 for _ in lines)
+
+
+def _read_symmetric(path: str, max_dim: int) -> np.ndarray:
+    import scipy.io
+
+    rows, cols, _, fmt, field, symmetry = scipy.io.mminfo(path)
     if field not in ("real", "integer"):
-        raise ValueError(f"{path}: unsupported field {field!r} (only real or integer)")
+        raise ValueError(f"unsupported field {field!r} (only real or integer)")
     if symmetry not in ("symmetric", "general"):
-        raise ValueError(
-            f"{path}: unsupported symmetry {symmetry!r} (only symmetric or general)"
-        )
-    return fmt, field, symmetry
-
-
-def _data_lines(lines: list[str], path: str) -> list[str]:
-    out = []
-    for raw in lines:
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        out.append(stripped)
-    if not out:
-        raise ValueError(f"{path}: no size line found")
-    return out
-
-
-def _check_dims(rows: int, cols: int, path: str, max_dim: int) -> None:
+        raise ValueError(f"unsupported symmetry {symmetry!r} (only symmetric or general)")
     if rows != cols:
-        raise ValueError(f"{path}: matrix is {rows}x{cols}, expected square")
-    if rows < 1:
-        raise ValueError(f"{path}: dimension must be positive, got {rows}")
-    if rows > max_dim:
-        raise ValueError(f"{path}: dimension {rows} exceeds the cap of {max_dim}")
+        raise ValueError(f"matrix is {rows}x{cols}, expected square")
+    if not 1 <= rows <= max_dim:
+        raise ValueError(f"dimension {rows} is outside 1..{max_dim}")
+    if fmt == "array" and symmetry == "symmetric":
+        # mmread fills a short packed array with zeros instead of raising.
+        expected, found = rows * (rows + 1) // 2, _data_line_count(path)
+        if found != expected:
+            raise ValueError(f"symmetric array needs {expected} values, found {found}")
+    m = scipy.io.mmread(path)
+    if fmt == "coordinate":
+        entries = m.nnz
+        m.sum_duplicates()
+        if m.nnz != entries:
+            raise ValueError("duplicate coordinate entries")
+        m = m.toarray()
+    a = np.asarray(m, dtype=np.float64)
+    if symmetry == "general" and not is_exactly_symmetric(a):
+        raise ValueError("general matrix is not exactly symmetric")
+    return a
 
 
 def load_matrix_market(path: str, max_dim: int = MAX_FILE_DIM) -> np.ndarray:
     """Read a square symmetric real matrix from a Matrix Market file.
 
-    ``symmetric`` storage must hold only the lower triangle and is mirrored;
-    ``general`` storage must be exactly symmetric.  Duplicate coordinate
-    entries, non-real fields, and dimensions above ``max_dim`` are rejected.
+    The header is checked before any data is read.  ``symmetric`` storage is
+    mirrored; ``general`` storage must be exactly symmetric.  Anything the
+    module notes exclude raises a ``ValueError`` that names ``path``.
     """
-    with open(path, encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    fmt, _field, symmetry = _parse_header(lines[0], path)
-    body = _data_lines(lines[1:], path)
-    size_parts = body[0].split()
-    entries = body[1:]
-
-    if fmt == "coordinate":
-        if len(size_parts) != 3:
-            raise ValueError(f"{path}: coordinate size line needs 'rows cols nnz'")
-        rows, cols, nnz = (int(tok) for tok in size_parts)
-        _check_dims(rows, cols, path, max_dim)
-        if len(entries) != nnz:
-            raise ValueError(f"{path}: expected {nnz} entries, found {len(entries)}")
-        a = np.zeros((rows, rows))
-        seen = set()
-        for line in entries:
-            toks = line.split()
-            if len(toks) != 3:
-                raise ValueError(f"{path}: bad coordinate entry {line!r}")
-            i, j = int(toks[0]) - 1, int(toks[1]) - 1
-            v = float(toks[2])
-            if not (0 <= i < rows and 0 <= j < rows):
-                raise ValueError(f"{path}: entry ({i + 1}, {j + 1}) out of range")
-            if (i, j) in seen:
-                raise ValueError(f"{path}: duplicate entry at ({i + 1}, {j + 1})")
-            seen.add((i, j))
-            if symmetry == "symmetric":
-                if i < j:
-                    raise ValueError(
-                        f"{path}: symmetric storage must keep i >= j, got ({i + 1}, {j + 1})"
-                    )
-                a[i, j] = v
-                a[j, i] = v
-            else:
-                a[i, j] = v
-    else:
-        if len(size_parts) != 2:
-            raise ValueError(f"{path}: array size line needs 'rows cols'")
-        rows, cols = (int(tok) for tok in size_parts)
-        _check_dims(rows, cols, path, max_dim)
-        values = [float(tok) for line in entries for tok in line.split()]
-        a = np.zeros((rows, rows))
-        if symmetry == "symmetric":
-            expected = rows * (rows + 1) // 2
-            if len(values) != expected:
-                raise ValueError(
-                    f"{path}: symmetric array needs {expected} values, found {len(values)}"
-                )
-            pos = 0
-            for j in range(rows):
-                for i in range(j, rows):
-                    a[i, j] = values[pos]
-                    a[j, i] = values[pos]
-                    pos += 1
-        else:
-            if len(values) != rows * rows:
-                raise ValueError(
-                    f"{path}: general array needs {rows * rows} values, found {len(values)}"
-                )
-            a = np.array(values).reshape((rows, rows), order="F")
-
-    if symmetry == "general" and not is_exactly_symmetric(a):
-        raise ValueError(f"{path}: general matrix is not exactly symmetric")
-    return a
+    try:
+        return _read_symmetric(path, max_dim)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_matrix_market(a: np.ndarray, path: str) -> None:
     """Write a symmetric matrix as coordinate/real/symmetric Matrix Market.
 
-    Values are written with ``repr`` so loading reproduces them bit for bit.
+    Each value is written in the shortest text that reads back as the same
+    double, so loading reproduces the matrix bit for bit.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not is_exactly_symmetric(a):
-        raise ValueError("matrix must be exactly symmetric to save as symmetric storage")
-    n = a.shape[0]
-    ii, jj = np.nonzero(np.tril(a))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{n} {n} {len(ii)}\n")
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            fh.write(f"{i + 1} {j + 1} {float(a[i, j])!r}\n")
+    import scipy.io
+    from scipy.sparse import coo_array
+
+    a = require_symmetric(a)
+    # A file object: mmwrite would turn a bare path "m" into "m.mtx".
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, coo_array(np.tril(a)), symmetry="symmetric")

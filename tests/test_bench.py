@@ -30,7 +30,7 @@ def small_config(out, **overrides):
         sizes=[8],
         trials=2,
         p_values=[3],
-        reps=1,
+        reps=3,
         out=out,
     )
     base.update(overrides)
@@ -90,10 +90,11 @@ def test_parse_config_rejects(text, match):
         {"trials": 0},
         {"p_values": [0]},
         {"reps": 0},
+        {"reps": 2},
         {"track_growth": "sometimes"},
         {"strategies": []},
     ],
-    ids=["strategy", "family", "trials", "p", "reps", "tracking", "empty"],
+    ids=["strategy", "family", "trials", "p", "reps", "reps-below-three", "tracking", "empty"],
 )
 def test_bench_config_validation(tmp_path, overrides):
     with pytest.raises(ValueError):
@@ -206,7 +207,7 @@ def test_cli_run_executes_config(tmp_path, capsys):
     out = str(tmp_path / "cli.csv")
     cfg_path = tmp_path / "bench.cfg"
     cfg_path.write_text(
-        f"strategies = bkpp\nfamilies = type4\nsizes = 6\nreps = 1\nout = {out}\n"
+        f"strategies = bkpp\nfamilies = type4\nsizes = 6\nreps = 3\nout = {out}\n"
     )
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert "wrote 1 records" in capsys.readouterr().out
@@ -217,7 +218,7 @@ def test_cli_run_reports_failed_cells(tmp_path, capsys):
     out = str(tmp_path / "fail.csv")
     cfg_path = tmp_path / "bench.cfg"
     cfg_path.write_text(
-        f"strategies = bkpp\nfamilies = file:/nonexistent.mtx\nsizes = 6\nreps = 1\nout = {out}\n"
+        f"strategies = bkpp\nfamilies = file:/nonexistent.mtx\nsizes = 6\nreps = 3\nout = {out}\n"
     )
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert "cell failed" in capsys.readouterr().err

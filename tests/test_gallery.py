@@ -1,9 +1,14 @@
 """Matrix gallery families and Matrix Market file I/O."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.io
 
+import randldl
 from randldl.core import is_exactly_symmetric
 from randldl.gallery import (
     FAMILIES,
@@ -168,12 +173,22 @@ def test_load_coordinate_symmetric(tmp_path):
     assert np.array_equal(load_matrix_market(path), [[1.0, 2.0], [2.0, 0.0]])
 
 
+def test_load_mirrors_upper_triangle_entries(tmp_path):
+    path = write_mm(
+        tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 4.0\n1 2 1.5\n"
+    )
+    assert np.array_equal(load_matrix_market(path), [[4.0, 1.5], [1.5, 0.0]])
+
+
 def test_load_is_case_insensitive_and_skips_blanks(tmp_path):
+    # The banner itself must be exact, as in the reference reader mmio.c.
     path = write_mm(
         tmp_path,
-        "%%matrixmarket MATRIX Coordinate INTEGER Symmetric\n\n1 1 1\n1 1 3\n",
+        "%%MatrixMarket MATRIX Coordinate INTEGER Symmetric\n\n1 1 1\n1 1 3\n",
     )
-    assert np.array_equal(load_matrix_market(path), [[3.0]])
+    a = load_matrix_market(path)
+    assert a.dtype == np.float64
+    assert np.array_equal(a, [[3.0]])
 
 
 def test_load_coordinate_general_requires_exact_symmetry(tmp_path):
@@ -211,40 +226,60 @@ def test_load_array_formats(tmp_path):
     "text,match",
     [
         ("%%MatrixMarket matrix coordinate complex symmetric\n1 1 1\n1 1 1.0\n", "field"),
+        ("%%MatrixMarket matrix coordinate pattern symmetric\n1 1 1\n1 1\n", "field"),
         ("%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1.0\n", "symmetry"),
-        ("%%MatrixMarket matrix ellpack real general\n1 1 1\n1 1 1.0\n", "format"),
+        ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n", "symmetry"),
+        (
+            "%%MatrixMarket matrix ellpack real general\n1 1 1\n1 1 1.0\n",
+            "Invalid MatrixMarket header element: ellpack",
+        ),
         ("%%MatrixMarket tensor coordinate real general\n1 1 1\n1 1 1.0\n", "header"),
+        ("%%matrixmarket matrix coordinate real symmetric\n1 1 1\n1 1 1.0\n", "banner"),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n", "square"),
         ("%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n", "dimension"),
-        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n", "entries"),
-        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 1.0\n", "i >= j"),
-        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 1.0\n", "range"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n", "Truncated file"),
+        (
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 1.0\n",
+            "Row index out of bounds",
+        ),
         (
             "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n1 1 2.0\n",
             "duplicate",
         ),
+        (
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 1.0\n1 2 2.0\n",
+            "duplicate",
+        ),
         ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n", "values"),
+        ("%%MatrixMarket matrix array real symmetric\n2 2\n", "values"),
+        ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n", "values"),
         ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n4.0\n", "symmetric"),
     ],
     ids=[
         "complex-field",
+        "pattern-field",
         "hermitian",
+        "skew-symmetric",
         "bad-format",
         "bad-header",
+        "lowercase-banner",
         "rectangular",
         "zero-dim",
         "missing-entries",
-        "upper-triangle",
         "index-range",
         "duplicate",
+        "duplicate-mirrored",
         "array-count",
+        "array-no-values",
+        "array-one-value",
         "array-asymmetric",
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, text, match):
     path = write_mm(tmp_path, text)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as info:
         load_matrix_market(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_load_enforces_dimension_cap(tmp_path):
@@ -254,23 +289,52 @@ def test_load_enforces_dimension_cap(tmp_path):
     with pytest.raises(ValueError, match="dimension"):
         load_matrix_market(path, max_dim=5)
     assert MAX_FILE_DIM == 10000
+    # Rejected from the header alone: reading on would allocate 10^16 entries.
+    huge = write_mm(
+        tmp_path,
+        "%%MatrixMarket matrix coordinate real symmetric\n100000000 100000000 0\n",
+        name="huge.mtx",
+    )
+    with pytest.raises(ValueError, match="dimension"):
+        load_matrix_market(huge)
+
+
+EXTREMES = np.array(
+    [
+        [5e-324, -0.1, 0.0],
+        [-0.1, 1.7976931348623157e308, -1.7976931348623157e308],
+        [0.0, -1.7976931348623157e308, -0.1],
+    ]
+)
 
 
 def test_save_load_round_trip_is_bitwise(tmp_path):
-    a = gen("type6", n=50, seed=9)
-    path = str(tmp_path / "round.mtx")
-    save_matrix_market(a, path)
-    assert np.array_equal(load_matrix_market(path), a)
-    # Independent reader agrees with ours on the written file.
-    other = scipy.io.mmread(path)
-    other = other.toarray() if hasattr(other, "toarray") else np.asarray(other)
-    assert np.array_equal(other, a)
+    for name, a in [("type6", gen("type6", n=50, seed=9)), ("extremes", EXTREMES)]:
+        path = tmp_path / f"{name}.mtx"
+        save_matrix_market(a, str(path))
+        assert load_matrix_market(str(path)).tobytes() == a.tobytes()
+        # The written text: a size line, then the lower triangle's nonzeros.
+        body = [ln for ln in path.read_text(encoding="ascii").splitlines() if not ln.startswith("%")]
+        n = a.shape[0]
+        assert body[0].split() == [str(n), str(n), str(np.count_nonzero(np.tril(a)))]
+        for line in body[1:]:
+            i, j, v = line.split()
+            i, j = int(i), int(j)
+            assert n >= i >= j >= 1
+            assert float(v) == a[i - 1, j - 1]
+
+
+def test_save_without_extension_writes_exact_path(tmp_path):
+    a = gen("type6", n=6, seed=1)
+    save_matrix_market(a, str(tmp_path / "m"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m"]
+    assert load_matrix_market(str(tmp_path / "m")).tobytes() == a.tobytes()
 
 
 def test_save_zero_matrix_round_trip(tmp_path):
     path = str(tmp_path / "zero.mtx")
     save_matrix_market(np.zeros((3, 3)), path)
-    assert np.array_equal(load_matrix_market(path), np.zeros((3, 3)))
+    assert load_matrix_market(path).tobytes() == np.zeros((3, 3)).tobytes()
 
 
 def test_save_validation(tmp_path):
@@ -279,6 +343,8 @@ def test_save_validation(tmp_path):
         save_matrix_market(np.array([[1.0, 2.0], [3.0, 4.0]]), path)
     with pytest.raises(ValueError, match="square"):
         save_matrix_market(np.zeros((2, 3)), path)
+    with pytest.raises(ValueError, match="at least one row"):
+        save_matrix_market(np.zeros((0, 0)), path)
 
 
 def test_file_backed_family(tmp_path):
@@ -288,3 +354,14 @@ def test_file_backed_family(tmp_path):
     assert np.array_equal(gen("type9", path=path), a)
     with pytest.raises(ValueError, match="path"):
         gen("type9", n=7)
+
+
+def test_import_leaves_scipy_io_unloaded():
+    src = Path(randldl.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, randldl; print('scipy.io' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
