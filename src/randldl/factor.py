@@ -12,7 +12,17 @@ matrix, where ``L`` is unit lower triangular and ``D`` is block diagonal with
 * ``bkpp``: classic partial pivoting.  Cheapest search; element growth can
   be exponential on adversarial inputs.
 * ``bbk``: bounded (rook) pivoting.  Bounded multipliers, but the rook walk
-  can touch many columns per step in the worst case.
+  can touch many columns per step in the worst case.  A walk forms its first
+  ``_ROOK_HOPS`` columns; a longer one reads every further column's
+  off-diagonal maximum from one table built over the stored lower triangle
+  (see :mod:`randldl.pivot`), which is exact only with an empty panel.  So a
+  long walk inside a panel defers (the panel is flushed and the step rerun
+  at the next panel's start, like a 2x2 pivot that would overflow the
+  panel), and a panel whose first walk runs long ends after that step:
+  panels stay one step wide while walks keep running long, and a short walk
+  restores width ``b``.  Every hop is still charged the ``m - 2``
+  comparisons of a column scan, and a deferred search is charged only once,
+  by its rerun.
 
 Elimination is organized in panels of width ``b``.  Inside a panel only the
 current pivot columns are updated (each formed from the frozen trailing
@@ -77,10 +87,12 @@ from .metrics import (
 from .pivot import (
     BK_ALPHA,
     SBKP_ALPHA,
+    OffDiagTable,
     PivotDecision,
     PivotKind,
     _bbk_from_data,
     _bkpp_from_data,
+    _offdiag_table,
     _sbkp_from_data,
 )
 from .sketch import partial_qrcp
@@ -109,6 +121,12 @@ _EPS = float(np.finfo(np.float64).eps)
 # m = 512-2048, t = 64 on one OpenBLAS thread of a 2-core x86-64 host.
 _STRIP = 128
 
+# Rook hops that form their column before a walk switches to the off-diagonal
+# table.  On type2, whose walks visit every remaining column, the table makes
+# each further hop a list lookup.  The other gallery families (type1, type3-8
+# and type10 at n = 512, type6 also at 1024) never walk this far.
+_ROOK_HOPS = 8
+
 # Pattern labels, one per index of the factorization.
 PAT_SINGLE = 0
 PAT_PAIR_START = 1
@@ -117,7 +135,16 @@ PAT_DEFICIENT = 3
 
 
 class NumericalError(RuntimeError):
-    """Raised when the factorization meets a non-finite or impossible value."""
+    """Raised when the factorization meets a non-finite or impossible value.
+
+    ``step`` is the index of the pivot block's first row and ``block`` its
+    values (a 1x1 or 2x2 array); both are None when not known.
+    """
+
+    def __init__(self, message: str, step: int | None = None, block: np.ndarray | None = None):
+        super().__init__(message)
+        self.step = step
+        self.block = block
 
 
 class Strategy(str, Enum):
@@ -255,31 +282,38 @@ class Factorization:
         return int(hits[0]) if hits.size else None
 
 
-def _block_multipliers(c0: np.ndarray, c1: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _block_multipliers(
+    c0: np.ndarray, c1: np.ndarray | None, k: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Multipliers and diagonal block from updated pivot column(s).
 
     ``c0`` (and ``c1`` for a 2x2 block) hold the pivot columns of the active
-    Schur complement starting at the pivot row.  The 2x2 case solves against
-    the adjugate, and the stored block is symmetrized from the lower entry.
+    Schur complement starting at the pivot row, which is row ``k``.  The 2x2
+    case solves against the adjugate, and the stored block is symmetrized
+    from the lower entry.
     """
     if c1 is None:
         d = float(c0[0])
         sub = c0[1:]
+        dblock = np.array([[d]])
         if sub.any():
             if d == 0.0:
-                raise NumericalError("zero 1x1 pivot under a nonzero column")
+                raise NumericalError(
+                    f"zero 1x1 pivot under a nonzero column at step {k}", k, dblock
+                )
             lcols = (sub / d)[:, None]
         else:
             lcols = np.zeros((sub.size, 1))
-        return lcols, np.array([[d]])
+        return lcols, dblock
     d11, d21, d22 = float(c0[0]), float(c0[1]), float(c1[1])
+    dblock = np.array([[d11, d21], [d21, d22]])
     det = d11 * d22 - d21 * d21
     if det == 0.0:
-        raise NumericalError("singular 2x2 pivot block")
+        raise NumericalError(f"singular 2x2 pivot block at step {k}", k, dblock)
     a1, a2 = c0[2:], c1[2:]
     l1 = (a1 * d22 - d21 * a2) / det
     l2 = (d11 * a2 - d21 * a1) / det
-    return np.column_stack([l1, l2]), np.array([[d11, d21], [d21, d22]])
+    return np.column_stack([l1, l2]), dblock
 
 
 class _Engine:
@@ -345,6 +379,9 @@ class _Engine:
         self.k0 = 0
         self.t = 0
         self.W = np.zeros((0, 0))
+        # Set when the rook walk at a panel's start builds the off-diagonal
+        # table; the panel then ends after that step.
+        self.table_built = False
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -431,6 +468,18 @@ class _Engine:
 
     # -- pivot selection ---------------------------------------------------
 
+    def _long_walk(self) -> OffDiagTable | None:
+        """Off-diagonal table for a long rook walk, or None inside a panel.
+
+        With an empty panel the stored lower triangle of the active block is
+        the Schur complement itself, so the table is exact; inside a panel
+        it is not, and the step defers.
+        """
+        if self.t:
+            return None
+        self.table_built = True
+        return _offdiag_table(self.A[self.k :, self.k :])
+
     def _decide(self) -> tuple[PivotDecision, np.ndarray]:
         """Pivot decision at step k, and the column k it was read from."""
         k, n = self.k, self.n
@@ -463,6 +512,8 @@ class _Engine:
             n=n,
             alpha=self.alpha,
             counters=self.counters,
+            long_walk=self._long_walk,
+            hop_limit=_ROOK_HOPS,
         ), c_k
 
     # -- elimination -----------------------------------------------------
@@ -479,9 +530,9 @@ class _Engine:
             self.counters.mults += self.t * c0.size
             self.counters.adds += self.t * c0.size
         c1 = self._form_column(k + 1) if s == 2 else None
-        lcols, dblock = _block_multipliers(c0, c1)
+        lcols, dblock = _block_multipliers(c0, c1, k)
         if not np.isfinite(dblock).all() or not np.isfinite(lcols).all():
-            raise NumericalError(f"non-finite pivot data at step {k}")
+            raise NumericalError(f"non-finite pivot data at step {k}", k, dblock)
         if s == 2:
             # Every strategy's 2x2 acceptance implies |det| > (1-alpha^2) d21^2;
             # anything below that (modulo rounding) marks a broken invariant.
@@ -490,7 +541,7 @@ class _Engine:
             alpha = self.alpha
             if abs(det) < (1.0 - alpha * alpha) * d21 * d21 * (1.0 - 1e-12):
                 raise NumericalError(
-                    f"2x2 block at step {k} violates its determinant bound"
+                    f"2x2 block at step {k} violates its determinant bound", k, dblock
                 )
         self.L[k + s :, k : k + s] = lcols
         if lcols.size:
@@ -576,13 +627,16 @@ class _Engine:
         self.k0 = self.k
         width = min(self.b_eff, n - self.k0)
         self.t = 0
+        self.table_built = False
         self.W = np.zeros((n - self.k0, min(width + 1, n - self.k0)))
         if self.B is not None and self.q_eff > 1:
             if self._panel_preselect(width) == "stop":
                 self.W = np.zeros((0, 0))
                 return
         while self.k < n and self.t < width:
-            if self._step(width) != "ok":
+            # While walks run long, each panel is this one step: the next
+            # walk then starts again from the exact Schur complement.
+            if self._step(width) != "ok" or self.table_built:
                 break
         self._apply_trailing()
         if self.B is not None and self.q_eff > 1 and self.t > 0 and self.k < n:
@@ -652,7 +706,14 @@ class _Engine:
                     return "stop"
                 jloc = int(np.argmax(column_norms(self.B, from_col=k)))
             self._swap(k, k + jloc)
+        comps = self.counters.comps
         decision, c_k = self._decide()
+        if decision.kind is PivotKind.DEFER:
+            # The walk outgrew its hop limit inside the panel.  Its rerun at
+            # the next panel's start is charged the whole search; the panel
+            # corrections already formed stay charged.
+            self.counters.comps = comps
+            return "defer"
         if decision.s == 2 and t > 0 and t + 2 > width:
             return "defer"  # 2x2 would overflow the panel; restart fresh
         # Column k as the search formed it stays valid unless a swap follows.

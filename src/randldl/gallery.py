@@ -26,7 +26,8 @@ checks the header before reading data and accepts real or integer fields,
 ``coordinate`` or ``array`` formats, and ``symmetric`` storage (mirrored) or
 exactly symmetric ``general`` storage.  Other fields and symmetries,
 rectangular or oversized shapes, duplicate entries (a pair ``(i, j)``,
-``(j, i)`` in symmetric storage included) and short packed arrays raise
+``(j, i)`` in symmetric storage included), short packed arrays and data
+lines holding other than three values (coordinate) or one (array) raise
 ``ValueError`` naming the file.  Saving writes shortest round-trip values,
 so a save/load round trip is bitwise.
 """
@@ -242,12 +243,22 @@ FAMILIES = frozenset(
 )
 
 
-def _data_line_count(path: str) -> int:
-    """Count the lines after the size line that are neither blank nor comments."""
+def _data_line_count(path: str, tokens: int) -> int:
+    """Count the lines after the size line that are neither blank nor comments.
+
+    Each must hold exactly ``tokens`` values: mmread ignores any extra ones.
+    """
     with open(path, "rb") as fh:
-        lines = (s for s in map(bytes.strip, fh) if s and not s.startswith(b"%"))
+        numbered = enumerate(map(bytes.strip, fh), 1)
+        lines = ((no, s) for no, s in numbered if s and not s.startswith(b"%"))
         next(lines, None)  # the size line
-        return sum(1 for _ in lines)
+        count = 0
+        for no, line in lines:
+            found = len(line.split())
+            if found != tokens:
+                raise ValueError(f"line {no} holds {found} values, expected {tokens}")
+            count += 1
+        return count
 
 
 def _read_symmetric(path: str, max_dim: int) -> np.ndarray:
@@ -262,9 +273,10 @@ def _read_symmetric(path: str, max_dim: int) -> np.ndarray:
         raise ValueError(f"matrix is {rows}x{cols}, expected square")
     if not 1 <= rows <= max_dim:
         raise ValueError(f"dimension {rows} is outside 1..{max_dim}")
+    found = _data_line_count(path, 3 if fmt == "coordinate" else 1)
     if fmt == "array" and symmetry == "symmetric":
         # mmread fills a short packed array with zeros instead of raising.
-        expected, found = rows * (rows + 1) // 2, _data_line_count(path)
+        expected = rows * (rows + 1) // 2
         if found != expected:
             raise ValueError(f"symmetric array needs {expected} values, found {found}")
     m = scipy.io.mmread(path)

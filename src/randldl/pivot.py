@@ -15,8 +15,19 @@ columns or diagonal entries through a callback, and returns a
   by 1/alpha for 1x1 pivots and 1/(1 - alpha) for 2x2 pivots at the cost of
   a potentially quadratic search per step.
 
+A rook walk that passes a hop limit asks its caller for an off-diagonal
+table (``_offdiag_table``): every column's largest off-diagonal magnitude
+and its first index, read off the lower triangle in one pass, as LAPACK
+``dsytrf_rook`` and bounded Bunch-Kaufman (Ashcraft, Grimes & Lewis, 1998)
+make the search cheap.  Each later hop is a list lookup that gives bitwise
+what forming and scanning the column gives.  A caller that cannot
+supply the table (inside a panel, where the stored block is not yet the
+Schur complement) gets a ``DEFER`` decision and searches again later.
+
 The rules never modify the matrix; they only read it and increment the
-comparison counter by the length of each max scan.
+comparison counter by the length of each max scan.  A hop answered from the
+table is charged the same ``m - 2`` comparisons as the scan it replaces, so
+the cost model stays the textbook one.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ class PivotKind(Enum):
     ONE_BY_ONE = "1x1"
     ONE_BY_ONE_SWAP_R = "1x1-swap"
     TWO_BY_TWO = "2x2"
+    DEFER = "defer"
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,9 @@ class PivotDecision:
     ``s`` is the block size (1 or 2); ``r`` the secondary index for swap and
     2x2 cases.  ``p`` is set only by the rook search when the 2x2 block pairs
     two rows that both differ from the leading position: the caller swaps
-    ``p`` to position k before swapping ``r`` to position k+1.
+    ``p`` to position k before swapping ``r`` to position k+1.  ``DEFER``
+    (``s`` = 0) means the rook walk outgrew its hop limit where no
+    off-diagonal table was available; nothing was chosen.
     """
 
     kind: PivotKind
@@ -68,9 +82,13 @@ class PivotDecision:
 
 
 # ``column_at(j)`` returns column j of the active Schur complement from row k
-# down; ``diag_at(j)`` returns its diagonal entry j.
+# down; ``diag_at(j)`` returns its diagonal entry j.  ``long_walk()`` returns
+# the ``_offdiag_table`` of the active Schur complement, or None where the
+# caller cannot build it.
 ColumnProvider = Callable[[int], np.ndarray]
 DiagProvider = Callable[[int], float]
+OffDiagTable = tuple[list[float], list[float], list[int]]
+TableProvider = Callable[[], OffDiagTable | None]
 
 
 def _scan_max(values: np.ndarray, counters: OpCounters) -> tuple[float, int]:
@@ -93,6 +111,38 @@ def _scan_max_off(values: np.ndarray, d: int, counters: OpCounters) -> tuple[flo
     j = int(values.argmax())
     values[d] = saved
     return float(values[j]), j
+
+
+# Block edge of ``_offdiag_table``'s transposed copies; the diagonal blocks
+# take their strict upper triangle through the constant mask ``_STRICT_UPPER``.
+_TABLE_BLOCK = 128
+_STRICT_UPPER = np.triu(np.ones((_TABLE_BLOCK, _TABLE_BLOCK), dtype=bool), 1)
+
+
+def _offdiag_table(a: np.ndarray) -> OffDiagTable:
+    """``_scan_max_off`` of every column of the matrix whose lower triangle is ``a``.
+
+    Returns three lists: ``|a_jj|``, and the value and index that
+    ``_scan_max_off(np.abs(column j), j, ...)`` returns for every j (m >= 2).
+    Row j of one m x m work array is made that scan's input: ``|a[j, :j]|``
+    (the row segment) as it lies, the column segment ``|a[j+1:, j]|``
+    transposed into the strict upper triangle block by block, and -inf on
+    the diagonal.  Its row maxima and first argmaxes are then bitwise the
+    column scans', ties and NaNs included.  The strict upper triangle of
+    ``a`` is never used.
+    """
+    m = a.shape[0]
+    work = np.abs(a)
+    for c0 in range(0, m, _TABLE_BLOCK):
+        c1 = min(c0 + _TABLE_BLOCK, m)
+        np.abs(a[c1:, c0:c1].T, out=work[c0:c1, c1:])
+        square = slice(c0, c1)
+        upper = _STRICT_UPPER[: c1 - c0, : c1 - c0]
+        np.copyto(work[square, square], np.abs(a[square, square].T), where=upper)
+    work.flat[:: m + 1] = -np.inf
+    imax = work.argmax(axis=1)
+    vmax = work[np.arange(m), imax]
+    return np.abs(a.diagonal()).tolist(), vmax.tolist(), imax.tolist()
 
 
 def _sbkp_from_data(
@@ -146,27 +196,52 @@ def _bbk_from_data(
     n: int,
     alpha: float,
     counters: OpCounters,
+    long_walk: TableProvider | None = None,
+    hop_limit: int = 0,
 ) -> PivotDecision:
+    """Rook search; after ``hop_limit`` formed columns, hops read ``long_walk()``."""
     lam, j = _scan_max(sub, counters) if sub.size else (0.0, 0)
     if sub.size == 0 or lam == 0.0:
         return PivotDecision(PivotKind.SKIP, s=1)
     if abs(a_kk) >= alpha * lam:
         return PivotDecision(PivotKind.ONE_BY_ONE, s=1)
-    # Rook walk: p_idx holds the previous candidate, imax the current one,
-    # colmax = |A(imax, p_idx)|.  colmax grows strictly on every hop, so the
-    # walk visits at most n - k columns before it must stop.
-    p_idx = k
-    imax = k + 1 + j
-    colmax = lam
-    for _ in range(n - k):
-        col = np.asarray(column_at(imax), dtype=np.float64)
-        rowmax, local = _scan_max_off(np.abs(col), imax - k, counters)
-        jmax = k + local
-        if abs(col[imax - k]) >= alpha * rowmax:
-            return PivotDecision(PivotKind.ONE_BY_ONE_SWAP_R, s=1, r=imax)
-        if jmax == p_idx or rowmax <= colmax:
-            pre = None if p_idx == k else p_idx
-            return PivotDecision(PivotKind.TWO_BY_TWO, s=2, r=imax, p=pre)
-        p_idx, imax, colmax = imax, jmax, rowmax
+    # Rook walk in local indices (row k is 0): p holds the previous
+    # candidate, i the current one, colmax = |A(i, p)|.  colmax grows
+    # strictly on every hop, so the walk visits at most m columns.
+    m = n - k
+    p, i, colmax = 0, 1 + j, lam
+    for hop in range(m):
+        if hop == hop_limit and long_walk is not None:
+            table = long_walk()
+            if table is None:
+                return PivotDecision(PivotKind.DEFER, s=0)
+            return _table_walk(table, k, p, i, colmax, alpha, counters)
+        col = np.asarray(column_at(k + i), dtype=np.float64)
+        rowmax, local = _scan_max_off(np.abs(col), i, counters)
+        if abs(col[i]) >= alpha * rowmax or local == p or rowmax <= colmax:
+            return _rook_stop(k, p, i, abs(col[i]) >= alpha * rowmax)
+        p, i, colmax = i, local, rowmax
+    raise AssertionError("rook search failed to terminate")  # pragma: no cover
+
+
+def _rook_stop(k: int, p: int, i: int, diagonal: bool) -> PivotDecision:
+    """Where a rook walk ends, at local candidate i after local candidate p."""
+    if diagonal:
+        return PivotDecision(PivotKind.ONE_BY_ONE_SWAP_R, s=1, r=k + i)
+    return PivotDecision(PivotKind.TWO_BY_TWO, s=2, r=k + i, p=None if p == 0 else k + p)
+
+
+def _table_walk(
+    table: OffDiagTable, k: int, p: int, i: int, colmax: float, alpha: float, counters: OpCounters
+) -> PivotDecision:
+    """The rest of a rook walk, each hop read from the off-diagonal table."""
+    absdiag, vmax, vidx = table
+    m = len(absdiag)
+    for hops in range(1, m + 1):
+        rowmax, local = vmax[i], vidx[i]
+        if absdiag[i] >= alpha * rowmax or local == p or rowmax <= colmax:
+            counters.comps += hops * (m - 2)
+            return _rook_stop(k, p, i, absdiag[i] >= alpha * rowmax)
+        p, i, colmax = i, local, rowmax
     raise AssertionError("rook search failed to terminate")  # pragma: no cover
 

@@ -1,10 +1,13 @@
 """Factorization engine: all strategies, blocked panels, guarded mode."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from randldl import (
     FactorConfig,
+    MatrixSpec,
     NumericalError,
     PAT_DEFICIENT,
     PAT_PAIR_END,
@@ -14,9 +17,11 @@ from randldl import (
     Strategy,
     factor,
     factor_robust,
+    generate,
     reconstruct,
 )
 from randldl.factor import _block_multipliers, _Engine
+from randldl.pivot import PivotDecision, PivotKind
 from helpers import random_symmetric, recon_error
 
 STRATEGIES = ["rcp", "bkpp", "bbk"]
@@ -185,8 +190,19 @@ def _zero_tail(n: int, rank: int) -> np.ndarray:
         (dict(audit_sketch=True), random_symmetric(60, seed=8)),
         (dict(track_growth="full"), random_symmetric(60, seed=8)),
         (dict(p=6, seed=2), _zero_tail(65, 40)),
+        (dict(strategy="bbk"), generate(MatrixSpec("type2", 100))),
     ],
-    ids=["rcp", "rcp-q=b=16", "bkpp", "bbk", "b=1", "audit", "full", "robust-zero-tail"],
+    ids=[
+        "rcp",
+        "rcp-q=b=16",
+        "bkpp",
+        "bbk",
+        "b=1",
+        "audit",
+        "full",
+        "robust-zero-tail",
+        "bbk-long-walks",
+    ],
 )
 def test_engine_never_reads_strict_upper_triangle(kwargs, a):
     # The engine keeps only the lower triangle of the active block: poisoning
@@ -245,24 +261,103 @@ def test_elimination_reuses_the_searched_pivot_column(strategy, b):
     assert got.stats.counters == want.stats.counters
 
 
+# -- long rook walks -------------------------------------------------------
+
+
+class _PanelEngine(_CountingEngine):
+    """Counts column formations, and records each panel's (start, steps) and
+    each long rook walk's (t, whether it got a table)."""
+
+    def __init__(self, a, cfg):
+        super().__init__(a, cfg, fresh=False)
+        self.panels = []
+        self.walks = []
+
+    def _apply_trailing(self):
+        self.panels.append((self.k0, self.t))
+        super()._apply_trailing()
+
+    def _long_walk(self):
+        table = super()._long_walk()
+        self.walks.append((self.t, table is not None))
+        return table
+
+
+def _block_diagonal(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    a = np.zeros((n, n))
+    i = 0
+    for b in blocks:
+        a[i : i + b.shape[0], i : i + b.shape[0]] = b
+        i += b.shape[0]
+    return a
+
+
+def _compare_with_formed_columns(a, b, monkeypatch):
+    """Run bbk with the table, with a hop limit no walk reaches (every hop
+    forms its column), and at b = 1; the pivots and the charged comparisons
+    and divisions must agree.  Returns the first two engines."""
+    table = _PanelEngine(a, FactorConfig(strategy="bbk", b=b))
+    got = table.run()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.modules["randldl.factor"], "_ROOK_HOPS", a.shape[0])
+        columns = _PanelEngine(a, FactorConfig(strategy="bbk", b=b))
+        want = columns.run()
+    eager = factor(a, strategy="bbk", b=1)
+    for f in (want, eager):
+        assert np.array_equal(got.perm, f.perm)
+        assert np.array_equal(got.pattern, f.pattern)
+    g, w = got.stats.counters, want.stats.counters
+    assert (g.comps, g.divs) == (w.comps, w.divs)
+    assert g.mults < w.mults and g.adds < w.adds  # no panel corrections
+    # A table is built only where the stored block is the Schur complement.
+    assert all(t == 0 for t, built in table.walks if built)
+    return table, columns
+
+
+def test_long_walks_read_the_table_and_keep_the_pivots(monkeypatch):
+    # type2's rook walks visit every remaining column, from the first step.
+    a = generate(MatrixSpec("type2", 256))
+    table, columns = _compare_with_formed_columns(a, 64, monkeypatch)
+    assert table.formed * 10 < columns.formed
+    # The first long walk ends its panel at once, so none ever defers, and
+    # every panel is one step wide but the last, over the few columns where
+    # no walk can run long.
+    assert table.walks and all(built for _, built in table.walks)
+    widths = [t for _, t in table.panels]
+    assert widths[:-1] == [1] * (len(widths) - 1)
+
+
+def test_long_walk_inside_a_panel_defers_and_short_walks_widen(monkeypatch):
+    # Dense Gaussian blocks around a type2 block.  The first long walk comes
+    # 8 steps into a panel: it defers, and its rerun is charged once.  Panels
+    # stay one step wide over type2 and go back to width b after it.
+    type2 = generate(MatrixSpec("type2", 64))
+    a = _block_diagonal(random_symmetric(40, seed=1), type2, random_symmetric(100, seed=2))
+    table, _ = _compare_with_formed_columns(a, 32, monkeypatch)
+    assert table.walks[0] == (8, False)
+    assert all(t == 1 for k0, t in table.panels if 40 <= k0 < 88)
+    assert sum(t == 32 for k0, t in table.panels if k0 >= 88) >= 2
+
+
 # -- multipliers ---------------------------------------------------------------
 
 
 def test_panel_columns_single_pivot():
-    lcols, dblock = _block_multipliers(np.array([2.0, 1.0, 3.0]), None)
+    lcols, dblock = _block_multipliers(np.array([2.0, 1.0, 3.0]), None, 0)
     assert np.array_equal(lcols, [[0.5], [1.5]])
     assert np.array_equal(dblock, [[2.0]])
 
 
 def test_panel_columns_two_by_two_pivot():
     c0, c1 = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 3.0])
-    lcols, dblock = _block_multipliers(c0, c1)
+    lcols, dblock = _block_multipliers(c0, c1, 0)
     assert np.array_equal(lcols, [[3.0, 2.0]])
     assert np.array_equal(dblock, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_panel_columns_zero_trailing_rows():
-    lcols, _ = _block_multipliers(np.array([2.0, 0.0]), None)
+    lcols, _ = _block_multipliers(np.array([2.0, 0.0]), None, 0)
     assert np.array_equal(lcols, [[0.0]])
 
 
@@ -292,11 +387,67 @@ def test_panel_columns_charge_counters():
     assert zero.divs == 0  # zero column, no divisions performed
 
 
+class _ForcedEngine(_Engine):
+    """Takes ``kind`` as the pivot decision at step ``at``."""
+
+    def __init__(self, a, kind, at):
+        super().__init__(np.asarray(a, dtype=np.float64), FactorConfig(strategy="bkpp", b=1))
+        self.kind, self.at = kind, at
+
+    def _decide(self):
+        decision, c_k = super()._decide()
+        if self.k == self.at:
+            two = self.kind is PivotKind.TWO_BY_TWO
+            decision = PivotDecision(self.kind, s=2 if two else 1, r=self.k + 1 if two else None)
+        return decision, c_k
+
+
+@pytest.mark.parametrize(
+    "a, kind, at, match, block",
+    [
+        (
+            [[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 3.0]],
+            PivotKind.ONE_BY_ONE,
+            1,
+            "zero 1x1 pivot under a nonzero column at step 1",
+            [[0.0]],
+        ),
+        (
+            [[2.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+            PivotKind.TWO_BY_TWO,
+            1,
+            "singular 2x2 pivot block at step 1",
+            [[1.0, 1.0], [1.0, 1.0]],
+        ),
+        (
+            [[1e-300, 1e300], [1e300, 0.0]],
+            PivotKind.ONE_BY_ONE,
+            0,
+            "non-finite pivot data at step 0",
+            [[1e-300]],
+        ),
+        (
+            [[1.0, 1.0], [1.0, 1.0 + 2.0**-20]],
+            PivotKind.TWO_BY_TWO,
+            0,
+            "2x2 block at step 0 violates its determinant bound",
+            [[1.0, 1.0], [1.0, 1.0 + 2.0**-20]],
+        ),
+    ],
+    ids=["zero-1x1", "singular-2x2", "non-finite", "determinant-bound"],
+)
+def test_numerical_error_names_step_and_block(a, kind, at, match, block):
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match=match) as info:
+        _ForcedEngine(a, kind, at).run()
+    assert info.value.step == at
+    assert np.array_equal(info.value.block, block)
+
+
 def test_panel_columns_numerical_errors():
     with pytest.raises(NumericalError, match="zero 1x1 pivot"):
-        _block_multipliers(np.array([0.0, 1.0]), None)
+        _block_multipliers(np.array([0.0, 1.0]), None, 0)
     with pytest.raises(NumericalError, match="singular 2x2"):
-        _block_multipliers(np.array([1.0, 1.0, 5.0]), np.array([1.0, 1.0, 7.0]))
+        _block_multipliers(np.array([1.0, 1.0, 5.0]), np.array([1.0, 1.0, 7.0]), 0)
 
 
 # -- diagnostics -------------------------------------------------------------

@@ -254,6 +254,14 @@ def test_load_array_formats(tmp_path):
         ("%%MatrixMarket matrix array real symmetric\n2 2\n", "values"),
         ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n", "values"),
         ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n4.0\n", "symmetric"),
+        (
+            "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 1.0 2.0\n",
+            "line 3 holds 4 values, expected 3",
+        ),
+        (
+            "%%MatrixMarket matrix array real symmetric\n2 2\n1.0 9.0\n2.0\n3.0\n",
+            "line 3 holds 2 values, expected 1",
+        ),
     ],
     ids=[
         "complex-field",
@@ -273,6 +281,8 @@ def test_load_array_formats(tmp_path):
         "array-no-values",
         "array-one-value",
         "array-asymmetric",
+        "coordinate-extra-token",
+        "array-extra-token",
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, text, match):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from randldl import FactorConfig, MatrixSpec, generate
+from randldl.factor import _Engine
 from randldl.metrics import OpCounters
 from randldl.pivot import (
     BK_ALPHA,
@@ -15,6 +17,7 @@ from randldl.pivot import (
     PivotKind,
     _bbk_from_data,
     _bkpp_from_data,
+    _offdiag_table,
     _sbkp_from_data,
     _scan_max,
     _scan_max_off,
@@ -24,7 +27,7 @@ from helpers import random_symmetric
 ALPHAS = {_sbkp_from_data: SBKP_ALPHA, _bkpp_from_data: BK_ALPHA, _bbk_from_data: BK_ALPHA}
 
 
-def decide(rule, a, k=0, alpha=None, counters=None):
+def decide(rule, a, k=0, alpha=None, counters=None, **extra):
     """Run a rule on step k of ``a``, feeding it the way the engine does.
 
     ``a[k:, k:]`` plays the active Schur complement: the rule gets its
@@ -44,7 +47,7 @@ def decide(rule, a, k=0, alpha=None, counters=None):
         kwargs["column_at"] = lambda j: a[k:, j]
     if rule is _bbk_from_data:
         kwargs["n"] = a.shape[0]
-    return rule(**kwargs)
+    return rule(**kwargs, **extra)
 
 
 # -- constants -----------------------------------------------------------
@@ -232,3 +235,99 @@ def test_off_diagonal_scan_matches_masked_scan(values, data):
     assert _scan_max_off(absc, d, got_counters) == (want_value, want_index)
     assert got_counters == want_counters
     assert np.array_equal(absc, before)  # the excluded entry is restored
+
+
+# -- off-diagonal table ------------------------------------------------------
+
+
+def _sample_matrix(data, m):
+    """A symmetric m x m matrix over a few values: ties, zeros, zero columns."""
+    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5])
+    values = data.draw(st.lists(entries, min_size=m * m, max_size=m * m), label="values")
+    a = np.tril(np.array(values).reshape(m, m))
+    a = a + np.tril(a, -1).T
+    for j in data.draw(st.lists(st.integers(0, m - 1), max_size=2), label="zero columns"):
+        a[j, :] = a[:, j] = 0.0
+    return a
+
+
+@seed(2017)
+@settings(max_examples=200)
+@given(m=st.integers(2, 9), data=st.data())
+def test_offdiag_table_matches_column_scans(m, data):
+    # The engine's column j at t = 0, scanned by _scan_max_off, is the
+    # reference; the table must agree bitwise in value and index, whatever the
+    # strict upper triangle holds.
+    a = _sample_matrix(data, m)
+    engine = _Engine(a, FactorConfig(strategy="bbk"))
+    k = data.draw(st.integers(0, m - 2), label="k")
+    engine.k = k
+    engine.A[np.triu_indices(m, 1)] = np.nan
+    absdiag, vmax, imax = _offdiag_table(engine.A[k:, k:])
+    for j in range(k, m):
+        col = np.abs(engine._form_column(j))
+        value, index = _scan_max_off(col, j - k, OpCounters())
+        assert (vmax[j - k], imax[j - k]) == (value, index)
+        assert math.copysign(1.0, vmax[j - k]) == 1.0
+        assert absdiag[j - k] == col[j - k]
+
+
+@pytest.mark.parametrize("m", [2, 3, 127, 128, 129, 300])
+def test_offdiag_table_across_block_edges(m):
+    # Gaussian entries rounded to a few values tie often, also across the
+    # 128-wide blocks; the strict upper triangle holds NaN.
+    a = np.round(random_symmetric(m, seed=m))
+    a[np.triu_indices(m, 1)] = np.nan
+    absdiag, vmax, imax = _offdiag_table(a)
+    for j in range(m):
+        col = np.abs(np.concatenate((a[j, :j], a[j:, j])))
+        assert (vmax[j], imax[j]) == _scan_max_off(col, j, OpCounters())
+        assert absdiag[j] == col[j]
+
+
+def test_offdiag_table_ties_go_to_the_row_segment():
+    # Column 1 holds magnitude 2 on both sides of its diagonal: in its row
+    # segment (index 0) and in its column segment (index 2).
+    a = np.array([[0.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 2.0, -1.0]])
+    a[1, 0] = -2.0
+    absdiag, vmax, imax = _offdiag_table(a)
+    assert absdiag == [0.0, 3.0, 1.0]
+    assert vmax == [2.0, 2.0, 2.0]
+    assert imax == [1, 0, 1]
+
+
+def test_offdiag_table_finds_nan_first():
+    # argmax reports the first NaN: in the row segment before the column one.
+    a = np.array([[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [5.0, np.nan, 1.0]])
+    _, vmax, imax = _offdiag_table(a)
+    assert math.isnan(vmax[0]) and imax[0] == 1
+    assert math.isnan(vmax[1]) and imax[1] == 0
+    assert math.isnan(vmax[2]) and imax[2] == 1
+
+
+@seed(2017)
+@settings(max_examples=100)
+@given(m=st.integers(2, 9), hop_limit=st.integers(0, 3), data=st.data())
+def test_rook_walk_from_table_matches_formed_columns(m, hop_limit, data):
+    # Switching to the table after any number of hops changes neither the
+    # decision nor the comparisons charged.
+    a = _sample_matrix(data, m)
+    want_counters, got_counters = OpCounters(), OpCounters()
+    want = decide(_bbk_from_data, a, counters=want_counters)
+    got = decide(
+        _bbk_from_data,
+        a,
+        counters=got_counters,
+        long_walk=lambda: _offdiag_table(a),
+        hop_limit=hop_limit,
+    )
+    assert got == want
+    assert got_counters == want_counters
+
+
+def test_rook_walk_defers_without_a_table():
+    a = generate(MatrixSpec("type2", 32))
+    d = decide(_bbk_from_data, a, long_walk=lambda: None, hop_limit=2)
+    assert d == PivotDecision(PivotKind.DEFER, s=0)
+    full = decide(_bbk_from_data, a, long_walk=lambda: None, hop_limit=a.shape[0])
+    assert full.kind is not PivotKind.DEFER
