@@ -1,71 +1,39 @@
-"""Run a benchmark grid programmatically and read back the CSV.
+"""Compare the three strategies on a small grid with a plain loop.
 
-The ``randldl.bench`` module sweeps strategies x families x sizes x sketch
-sizes x trials, records growth factors, backward errors, operation counts,
-and median wall times, and writes one CSV row per cell.  The same engine
-powers the ``bench`` console script:
-
-    bench run --config grid.cfg
-    bench gen --family type6 --n 500 --out m.mtx
-    bench solve --matrix m.mtx --strategy rcp
-
-This demo drives it in-process instead.
+Each cell factors one matrix, solves one system against it and prints the
+cheap growth factor, the modeled comparison count and the backward error.
+The grid is a direct loop over :func:`factor` and :func:`solve`; wall times
+are left to ``perfbench/run.py``, which pairs every call with LAPACK, and
+pivot-by-pivot comparisons to ``tools/pivot_digest.py``.
 """
 
-import csv
-import tempfile
-from pathlib import Path
+import numpy as np
 
-from randldl.bench import BenchConfig, parse_config, run
+from randldl import MatrixSpec, factor, generate, solve
 
 # ----------------------------------------------------------------------
-# 1. Describe the grid.  Matrix draws are seeded positionally — every
-#    strategy sees the same matrix for a given (family, n, trial) — so the
+# 1. Describe the grid.  The matrix of a cell is seeded by (family, n,
+#    trial) only, so every strategy sees the same system and the
 #    comparison across strategies is paired.
 # ----------------------------------------------------------------------
-out = Path(tempfile.mkdtemp()) / "grid.csv"
-cfg = BenchConfig(
-    strategies=["rcp", "bkpp", "bbk"],
-    families=["type2", "type6"],
-    sizes=[64, 128],
-    trials=2,
-    p_values=[5],
-    reps=3,
-    seed=0,
-    out=str(out),
-)
-records = run(cfg)
-print(f"ran {len(records)} cells -> {out}")
-
-# ----------------------------------------------------------------------
-# 2. Read the CSV back and print a compact comparison: median growth and
-#    comparison counts per strategy and family.
-# ----------------------------------------------------------------------
-with open(out, newline="") as fh:
-    rows = list(csv.DictReader(fh))
-
-print(f"{'strategy':>8} {'family':>7} {'n':>5} {'rho':>10} {'comps':>10} {'err':>10}")
-for row in rows:
-    if row["trial"] != "0":
-        continue
-    print(
-        f"{row['strategy']:>8} {row['family']:>7} {row['n']:>5} "
-        f"{float(row['rho_cheap']):>10.3f} {int(row['comps']):>10} "
-        f"{float(row['err']):>10.2e}"
-    )
-
-# ----------------------------------------------------------------------
-# 3. The same grid as a config file (the format the CLI consumes): plain
-#    "key = value" lines, lists comma-separated, '#' starts a comment.
-# ----------------------------------------------------------------------
-text = """
-strategies = rcp, bkpp, bbk
-families = type2, type6
-sizes = 64, 128
+strategies = ["rcp", "bkpp", "bbk"]
+families = ["type2", "type6"]
+sizes = [64, 128]
 trials = 2
-p = 5
-reps = 3
-out = grid.csv        # resolved against $RANDLDL_OUT_DIR when relative
-"""
-parsed = parse_config(text)
-print(f"parsed config matches: {parsed.strategies == cfg.strategies}")
+
+# ----------------------------------------------------------------------
+# 2. Run it: one factor and one solve per strategy x family x n x trial.
+# ----------------------------------------------------------------------
+print(f"{'strategy':>8} {'family':>7} {'n':>5} {'trial':>5} {'rho':>10} {'comps':>10} {'err':>10}")
+for family in families:
+    for n in sizes:
+        for trial in range(trials):
+            a = generate(MatrixSpec(family=family, n=n, seed=trial))
+            b = a @ np.ones(n)
+            for strategy in strategies:
+                f = factor(a, strategy=strategy, seed=trial)
+                err = solve(f, b, a=a).backward_error
+                print(
+                    f"{strategy:>8} {family:>7} {n:>5} {trial:>5} "
+                    f"{f.stats.rho_cheap:>10.3f} {f.stats.counters.comps:>10} {err:>10.2e}"
+                )

@@ -12,10 +12,10 @@ under one of three pivoting strategies:
 - ``bbk``  -- bounded (rook) block strategy.
 
 Entry points: :func:`factor`, :func:`factor_robust`, :func:`solve`,
-:func:`solve_many`, the :mod:`randldl.gallery` matrix families, and the
-``bench`` command line (``randldl.bench:main``).  The kernels behind them
-(``core``, ``pivot``, ``sketch``, ``metrics``) stay importable from their
-modules but are not part of the package namespace.
+:func:`solve_many`, and the :mod:`randldl.gallery` matrix families with
+their Matrix Market I/O.  The kernels behind them (``core``, ``pivot``,
+``sketch``, ``metrics``) stay importable from their modules but are not
+part of the package namespace.
 """
 
 from .factor import (

@@ -72,6 +72,7 @@ from .core import (
     exchange,
     identity_permutation,
     mirror_lower,
+    require_square,
     require_symmetric,
     sym_swap,
 )
@@ -158,7 +159,7 @@ class GrowthTracking(str, Enum):
     FULL = "full"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorConfig:
     """Knobs for :func:`factor`.
 
@@ -168,7 +169,8 @@ class FactorConfig:
     disables the guard entirely.  ``track_growth="full"`` and
     ``audit_sketch`` both force eager (width-1) panels so that every Schur
     complement is materialized for inspection; they change the asymptotic
-    cost and are meant for experiments, not production solves.
+    cost and are meant for experiments, not production solves.  A config is
+    validated once, here, and is then frozen.
     """
 
     strategy: Strategy = Strategy.RCP
@@ -181,8 +183,8 @@ class FactorConfig:
     audit_sketch: bool = False
 
     def __post_init__(self) -> None:
-        self.strategy = Strategy(self.strategy)
-        self.track_growth = GrowthTracking(self.track_growth)
+        object.__setattr__(self, "strategy", Strategy(self.strategy))
+        object.__setattr__(self, "track_growth", GrowthTracking(self.track_growth))
         if self.p < 1:
             raise ValueError("sketch size p must be positive")
         if self.b < 1:
@@ -256,8 +258,9 @@ class Factorization:
 
     ``pattern[i]`` labels index i as a single pivot, the start or end of a
     2x2 pivot pair, or part of the numerically zero tail of a rank-deficient
-    input.  ``L`` is checked to be finite once, here, and then made
-    read-only, so a solve need not check it again.
+    input.  ``L`` is checked to be finite and ``perm`` to be a permutation
+    once, here, and then they and ``pattern`` are made read-only, so a solve
+    need not check them again.
     """
 
     perm: np.ndarray
@@ -269,7 +272,13 @@ class Factorization:
     def __post_init__(self) -> None:
         if not np.isfinite(self.L).all():
             raise ValueError("L contains NaN or Inf")
-        self.L.flags.writeable = False
+        n, perm = self.L.shape[0], self.perm
+        # Given n entries, none negative, every count is 1 exactly when perm
+        # holds each of 0..n-1 once.
+        if perm.shape != (n,) or perm.min(initial=0) < 0 or (np.bincount(perm) != 1).any():
+            raise ValueError(f"perm is not a permutation of 0..{n - 1}")
+        for a in (self.L, perm, self.pattern):
+            a.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -283,14 +292,17 @@ class Factorization:
 
 
 def _block_multipliers(
-    c0: np.ndarray, c1: np.ndarray | None, k: int
+    c0: np.ndarray, c1: np.ndarray | None, k: int, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multipliers and diagonal block from updated pivot column(s).
 
     ``c0`` (and ``c1`` for a 2x2 block) hold the pivot columns of the active
     Schur complement starting at the pivot row, which is row ``k``.  The 2x2
     case solves against the adjugate, and the stored block is symmetrized
-    from the lower entry.
+    from the lower entry.  A block the engine cannot use raises
+    :class:`NumericalError`: a zero 1x1 pivot under a nonzero column, a
+    singular 2x2 block, non-finite block or multipliers, or a 2x2 block
+    below the determinant bound of the strategy's ``alpha``.
     """
     if c1 is None:
         d = float(c0[0])
@@ -304,34 +316,43 @@ def _block_multipliers(
             lcols = (sub / d)[:, None]
         else:
             lcols = np.zeros((sub.size, 1))
-        return lcols, dblock
-    d11, d21, d22 = float(c0[0]), float(c0[1]), float(c1[1])
-    dblock = np.array([[d11, d21], [d21, d22]])
-    det = d11 * d22 - d21 * d21
-    if det == 0.0:
-        raise NumericalError(f"singular 2x2 pivot block at step {k}", k, dblock)
-    a1, a2 = c0[2:], c1[2:]
-    l1 = (a1 * d22 - d21 * a2) / det
-    l2 = (d11 * a2 - d21 * a1) / det
-    return np.column_stack([l1, l2]), dblock
+    else:
+        d11, d21, d22 = float(c0[0]), float(c0[1]), float(c1[1])
+        dblock = np.array([[d11, d21], [d21, d22]])
+        det = d11 * d22 - d21 * d21
+        if det == 0.0:
+            raise NumericalError(f"singular 2x2 pivot block at step {k}", k, dblock)
+        a1, a2 = c0[2:], c1[2:]
+        l1 = (a1 * d22 - d21 * a2) / det
+        l2 = (d11 * a2 - d21 * a1) / det
+        lcols = np.column_stack([l1, l2])
+    if not np.isfinite(dblock).all() or not np.isfinite(lcols).all():
+        raise NumericalError(f"non-finite pivot data at step {k}", k, dblock)
+    # Every strategy's 2x2 acceptance implies |det| > (1-alpha^2) d21^2;
+    # anything below that (modulo rounding) marks a broken invariant.
+    if c1 is not None and abs(det) < (1.0 - alpha * alpha) * d21 * d21 * (1.0 - 1e-12):
+        raise NumericalError(f"2x2 block at step {k} violates its determinant bound", k, dblock)
+    return lcols, dblock
 
 
 class _Engine:
     """One factorization run; see the module docstring for the plan."""
 
     def __init__(self, a: np.ndarray, cfg: FactorConfig):
+        a = require_square(a, "A")
+        # One pass each for the largest and smallest entry: a NaN propagates
+        # into both and an infinity reaches one of them, and together they
+        # give max |a_ij| without an n x n temporary.  They run before the
+        # symmetry check, which a NaN would fail (NaN != NaN).
+        hi, lo = float(a.max()), float(a.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise ValueError("input matrix contains NaN or Inf")
         a = require_symmetric(a, "A")
+        self.input_norm_1inf = max(hi, -lo)
         self.cfg = cfg
         self.n = a.shape[0]
         n = self.n
         self.A = np.array(a, dtype=np.float64, copy=True)
-        # One pass each for the largest and smallest entry: a NaN propagates
-        # into both and an infinity reaches one of them, and together they
-        # give max |a_ij| without an n x n temporary.
-        hi, lo = float(self.A.max()), float(self.A.min())
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ValueError("input matrix contains NaN or Inf")
-        self.input_norm_1inf = max(hi, -lo)
         self.L = np.eye(n)
         self.perm = identity_permutation(n)
         self.pattern = np.zeros(n, dtype=np.int8)
@@ -530,19 +551,7 @@ class _Engine:
             self.counters.mults += self.t * c0.size
             self.counters.adds += self.t * c0.size
         c1 = self._form_column(k + 1) if s == 2 else None
-        lcols, dblock = _block_multipliers(c0, c1, k)
-        if not np.isfinite(dblock).all() or not np.isfinite(lcols).all():
-            raise NumericalError(f"non-finite pivot data at step {k}", k, dblock)
-        if s == 2:
-            # Every strategy's 2x2 acceptance implies |det| > (1-alpha^2) d21^2;
-            # anything below that (modulo rounding) marks a broken invariant.
-            d21 = abs(float(dblock[1, 0]))
-            det = float(dblock[0, 0]) * float(dblock[1, 1]) - d21 * d21
-            alpha = self.alpha
-            if abs(det) < (1.0 - alpha * alpha) * d21 * d21 * (1.0 - 1e-12):
-                raise NumericalError(
-                    f"2x2 block at step {k} violates its determinant bound", k, dblock
-                )
+        lcols, dblock = _block_multipliers(c0, c1, k, self.alpha)
         self.L[k + s :, k : k + s] = lcols
         if lcols.size:
             self.max_multiplier = max(self.max_multiplier, float(np.abs(lcols).max()))

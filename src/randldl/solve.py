@@ -9,10 +9,10 @@ test is applied to merely ill-conditioned blocks (a rank-revealing
 factorization has already zeroed negligible trailing blocks).
 
 The factorization is checked once, when it is built: ``L`` must be finite
-and is then read-only, and ``D`` is frozen with its block arrays derived.
-Each solve therefore checks only its right-hand side (a NaN or Inf raises
-``ValueError``) and runs the two triangular solves unchecked, as LAPACK
-``dsytrs`` does.
+and ``perm`` a permutation, both are then read-only, and ``D`` is frozen
+with its block arrays derived.  Each solve therefore checks only its
+right-hand side (a NaN or Inf raises ``ValueError``) and runs the two
+triangular solves unchecked, as LAPACK ``dsytrs`` does.
 """
 
 from __future__ import annotations

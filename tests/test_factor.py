@@ -1,5 +1,6 @@
 """Factorization engine: all strategies, blocked panels, guarded mode."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -344,20 +345,20 @@ def test_long_walk_inside_a_panel_defers_and_short_walks_widen(monkeypatch):
 
 
 def test_panel_columns_single_pivot():
-    lcols, dblock = _block_multipliers(np.array([2.0, 1.0, 3.0]), None, 0)
+    lcols, dblock = _block_multipliers(np.array([2.0, 1.0, 3.0]), None, 0, SBKP_ALPHA)
     assert np.array_equal(lcols, [[0.5], [1.5]])
     assert np.array_equal(dblock, [[2.0]])
 
 
 def test_panel_columns_two_by_two_pivot():
     c0, c1 = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 3.0])
-    lcols, dblock = _block_multipliers(c0, c1, 0)
+    lcols, dblock = _block_multipliers(c0, c1, 0, SBKP_ALPHA)
     assert np.array_equal(lcols, [[3.0, 2.0]])
     assert np.array_equal(dblock, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_panel_columns_zero_trailing_rows():
-    lcols, _ = _block_multipliers(np.array([2.0, 0.0]), None, 0)
+    lcols, _ = _block_multipliers(np.array([2.0, 0.0]), None, 0, SBKP_ALPHA)
     assert np.array_equal(lcols, [[0.0]])
 
 
@@ -445,9 +446,13 @@ def test_numerical_error_names_step_and_block(a, kind, at, match, block):
 
 def test_panel_columns_numerical_errors():
     with pytest.raises(NumericalError, match="zero 1x1 pivot"):
-        _block_multipliers(np.array([0.0, 1.0]), None, 0)
+        _block_multipliers(np.array([0.0, 1.0]), None, 0, SBKP_ALPHA)
     with pytest.raises(NumericalError, match="singular 2x2"):
-        _block_multipliers(np.array([1.0, 1.0, 5.0]), np.array([1.0, 1.0, 7.0]), 0)
+        _block_multipliers(np.array([1.0, 1.0, 5.0]), np.array([1.0, 1.0, 7.0]), 0, SBKP_ALPHA)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        _block_multipliers(np.array([1e-300, 1e300]), None, 0, SBKP_ALPHA)
+    with pytest.raises(NumericalError, match="determinant bound"):
+        _block_multipliers(np.array([1.0, 1.0]), np.array([1.0, 1.0 + 2.0**-20]), 0, SBKP_ALPHA)
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -532,20 +537,34 @@ def test_config_validation(kwargs):
         FactorConfig(**kwargs)
 
 
+def test_config_is_frozen():
+    # A config is validated once; changing it afterwards would run a path
+    # the validation never saw (a plain "rcp" string, or q outside {1, b}).
+    cfg = FactorConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.strategy = "rcp"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.q = 3
+    with pytest.raises(ValueError, match="q must be 1 or b"):
+        dataclasses.replace(cfg, q=3)
+    assert dataclasses.replace(cfg, strategy="bbk").strategy is Strategy.BBK
+
+
 @pytest.mark.parametrize(
-    "a",
+    "a, match",
     [
-        np.zeros((0, 0)),
-        np.zeros((2, 3)),
-        np.array([[1.0, 2.0], [3.0, 4.0]]),
-        np.array([[np.nan, 0.0], [0.0, 1.0]]),
-        np.array([[np.inf, 0.0], [0.0, 1.0]]),
-        np.array([[1.0, 0.0], [0.0, -np.inf]]),
+        (np.zeros((0, 0)), "at least one row"),
+        (np.zeros((2, 3)), "square"),
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), "symmetric"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "NaN or Inf"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "NaN or Inf"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "NaN or Inf"),
+        (np.array([[1.0, 0.0], [0.0, -np.inf]]), "NaN or Inf"),
     ],
-    ids=["empty", "rectangular", "asymmetric", "nan", "inf", "neg_inf"],
+    ids=["empty", "rectangular", "asymmetric", "nan", "nan-off-diagonal", "inf", "neg_inf"],
 )
-def test_input_validation(a):
-    with pytest.raises(ValueError):
+def test_input_validation(a, match):
+    with pytest.raises(ValueError, match=match):
         factor(a, strategy="bkpp")
 
 

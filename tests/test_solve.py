@@ -204,17 +204,33 @@ def test_factorization_rejects_non_finite_L(bad):
         )
 
 
+@pytest.mark.parametrize(
+    "perm", [[0, 0, 2], [0, 1, 3], [-1, 1, 2], [0, 1]], ids=["repeat", "too-large", "negative", "short"]
+)
+def test_factorization_rejects_non_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        Factorization(
+            perm=np.array(perm),
+            L=np.eye(3),
+            D=BlockDiag([np.eye(1)] * 3),
+            pattern=np.zeros(3, dtype=np.int8),
+            stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
+        )
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_factorization_is_frozen(strategy):
     # The solve trusts the check made when the factorization was built, so
-    # neither L nor D may change afterwards.
+    # neither L, D, perm nor pattern may change afterwards.
     f = factor(random_symmetric(12, seed=3), strategy=strategy)
-    arrays = [f.L, *f.D.blocks, f.D.d1, f.D.d11, f.D.d21, f.D.d22, f.D.det]
+    arrays = [f.L, *f.D.blocks, f.D.d1, f.D.d11, f.D.d21, f.D.d22, f.D.det, f.perm, f.pattern]
     assert not any(x.flags.writeable for x in arrays)
     with pytest.raises(ValueError, match="read-only"):
         f.L[1, 0] = np.nan
     with pytest.raises(ValueError, match="read-only"):
         f.D.blocks[0][0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        f.perm[0] = f.perm[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.L = np.full((12, 12), np.nan)
 
