@@ -47,8 +47,8 @@ print(f"comparisons: partial={bk.stats.counters.comps}, "
 
 # ----------------------------------------------------------------------
 # 5. Full growth tracking snapshots every Schur complement and reports the
-#    elementwise and columnwise growth factors (more expensive: it forces
-#    width-1 panels and materializes each step).
+#    elementwise and columnwise growth factors (more expensive: it copies
+#    the active Schur complement at every step).
 # ----------------------------------------------------------------------
 tracked = factor(a, strategy="bkpp", b=1, track_growth="full")
 print(f"partial pivoting rho_elem = {tracked.stats.rho_elem:.3e}, "

@@ -11,11 +11,11 @@ under one of three pivoting strategies:
 - ``bkpp`` -- classic partial-pivoting block strategy;
 - ``bbk``  -- bounded (rook) block strategy.
 
-Entry points: :func:`factor`, :func:`factor_robust`, :func:`solve`,
-:func:`solve_many`, and the :mod:`randldl.gallery` matrix families with
-their Matrix Market I/O.  The kernels behind them (``core``, ``pivot``,
-``sketch``, ``metrics``) stay importable from their modules but are not
-part of the package namespace.
+Entry points: :func:`factor` (whose defaults run ``rcp`` with the rank
+guard armed), :func:`solve`, :func:`solve_many`, and the
+:mod:`randldl.gallery` matrix families with their Matrix Market I/O.  The
+kernels behind them (``core``, ``pivot``, ``sketch``, ``metrics``) stay
+importable from their modules but are not part of the package namespace.
 """
 
 from .factor import (
@@ -30,7 +30,6 @@ from .factor import (
     NumericalError,
     Strategy,
     factor,
-    factor_robust,
     reconstruct,
 )
 from .gallery import (
@@ -50,7 +49,6 @@ __all__ = [
     "__version__",
     # factor
     "factor",
-    "factor_robust",
     "reconstruct",
     "FactorConfig",
     "Factorization",

@@ -15,10 +15,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "require_square",
+    "require_finite",
     "require_symmetric",
     "is_exactly_symmetric",
     "identity_permutation",
@@ -37,6 +40,19 @@ def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if a.shape[0] == 0:
         raise ValueError(f"{name} must have at least one row")
     return a
+
+
+def require_finite(a: np.ndarray, name: str = "matrix") -> float:
+    """Largest magnitude in ``a``; a NaN or Inf raises ``ValueError`` by name.
+
+    A NaN propagates into both the max and the min pass and an infinity
+    reaches one of them, so no temporary the size of ``a`` is needed.  Run
+    it before a symmetry check, which a NaN fails as asymmetry (NaN != NaN).
+    """
+    hi, lo = float(a.max()), float(a.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ValueError(f"{name} contains NaN or Inf")
+    return max(hi, -lo)
 
 
 # Tile edge of the symmetry check.  A 128 x 128 tile of float64 is 128 KiB,

@@ -45,7 +45,8 @@ rather than ``t m^2``.  The strip products also update the upper half of
 each diagonal strip square, whose values are never used: no result depends
 on the strict upper triangle.  The rare paths that need the whole block
 (the guard's fresh projection, full growth tracking and the sketch audit)
-mirror a copy of it on demand.
+mirror a copy of it on demand, at the configured ``b`` and ``q``: a growth
+snapshot inside a panel subtracts the panel's pending update.
 
 A guarded mode watches the selected sketch column norm; when it falls below
 ``eps**delta * beta`` (``beta`` being the initial sketch norm), the sketch is
@@ -72,6 +73,7 @@ from .core import (
     exchange,
     identity_permutation,
     mirror_lower,
+    require_finite,
     require_square,
     require_symmetric,
     sym_swap,
@@ -110,7 +112,6 @@ __all__ = [
     "PAT_PAIR_END",
     "PAT_DEFICIENT",
     "factor",
-    "factor_robust",
     "reconstruct",
 ]
 
@@ -165,12 +166,12 @@ class FactorConfig:
 
     ``q`` must be 1 (one sketch pivot per step) or equal to ``b`` (one batch
     of sketch pivots per panel), and the sketch size ``p`` must be at least
-    ``q``.  ``robust_r`` is the recompute budget of the guarded mode; 0
-    disables the guard entirely.  ``track_growth="full"`` and
-    ``audit_sketch`` both force eager (width-1) panels so that every Schur
-    complement is materialized for inspection; they change the asymptotic
-    cost and are meant for experiments, not production solves.  A config is
-    validated once, here, and is then frozen.
+    ``q``.  ``robust_r`` is the recompute budget of the guarded mode, armed
+    by default; 0 disables the guard.  ``track_growth="full"`` copies every
+    step's Schur complement and ``audit_sketch`` projects the active block
+    at every panel end; both are meant for experiments, not production
+    solves, and neither changes the pivots.  A config is validated once,
+    here, and is then frozen.
     """
 
     strategy: Strategy = Strategy.RCP
@@ -258,9 +259,9 @@ class Factorization:
 
     ``pattern[i]`` labels index i as a single pivot, the start or end of a
     2x2 pivot pair, or part of the numerically zero tail of a rank-deficient
-    input.  ``L`` is checked to be finite and ``perm`` to be a permutation
-    once, here, and then they and ``pattern`` are made read-only, so a solve
-    need not check them again.
+    input.  ``L``, ``perm``, ``D``'s size and ``pattern``'s pairs are checked
+    once, here, and then ``L``, ``perm`` and ``pattern`` are made read-only,
+    so a solve need not check them again.
     """
 
     perm: np.ndarray
@@ -277,6 +278,15 @@ class Factorization:
         # holds each of 0..n-1 once.
         if perm.shape != (n,) or perm.min(initial=0) < 0 or (np.bincount(perm) != 1).any():
             raise ValueError(f"perm is not a permutation of 0..{n - 1}")
+        if self.D.dim != n:
+            raise ValueError(f"D covers {self.D.dim} rows, expected {n}")
+        pattern, starts2 = self.pattern, self.D.starts2
+        if (
+            pattern.shape != (n,)
+            or not np.array_equal(np.flatnonzero(pattern == PAT_PAIR_START), starts2)
+            or not np.array_equal(np.flatnonzero(pattern == PAT_PAIR_END), starts2 + 1)
+        ):
+            raise ValueError("pattern's 2x2 pairs do not match D's 2x2 blocks")
         for a in (self.L, perm, self.pattern):
             a.flags.writeable = False
 
@@ -340,18 +350,10 @@ class _Engine:
 
     def __init__(self, a: np.ndarray, cfg: FactorConfig):
         a = require_square(a, "A")
-        # One pass each for the largest and smallest entry: a NaN propagates
-        # into both and an infinity reaches one of them, and together they
-        # give max |a_ij| without an n x n temporary.  They run before the
-        # symmetry check, which a NaN would fail (NaN != NaN).
-        hi, lo = float(a.max()), float(a.min())
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ValueError("input matrix contains NaN or Inf")
+        self.input_norm_1inf = require_finite(a, "input matrix")
         a = require_symmetric(a, "A")
-        self.input_norm_1inf = max(hi, -lo)
         self.cfg = cfg
-        self.n = a.shape[0]
-        n = self.n
+        self.n = n = a.shape[0]
         self.A = np.array(a, dtype=np.float64, copy=True)
         self.L = np.eye(n)
         self.perm = identity_permutation(n)
@@ -362,10 +364,6 @@ class _Engine:
         self.max_multiplier = 0.0
         self.counters = OpCounters()
         self.k = 0
-
-        self.eager = cfg.track_growth is GrowthTracking.FULL or cfg.audit_sketch
-        self.b_eff = 1 if self.eager else cfg.b
-        self.q_eff = 1 if self.eager else cfg.q
 
         self.strategy = cfg.strategy
         self.alpha = SBKP_ALPHA if self.strategy is Strategy.RCP else BK_ALPHA
@@ -464,17 +462,24 @@ class _Engine:
 
     # -- guarded mode ----------------------------------------------------
 
-    def _robust_trip(self, tsel: float) -> bool:
-        return self.robust_armed and tsel < self.threshold * self.beta
+    def _sketch_norms(self) -> tuple[str, np.ndarray | None]:
+        """Sketch column norms of the active block behind the guard, with a status.
 
-    def _robust_recompute(self) -> str:
-        """Fresh projection of the current Schur complement; "stop" or "go".
-
-        Only called with an empty panel, so the stored trailing block is the
-        true Schur complement.  Each recomputation relaxes the threshold
-        exponent before re-testing.
+        A largest norm below ``threshold * beta`` trips the guard.  Inside a
+        panel the step defers, to be retested where the stored block is the
+        Schur complement; there the sketch is recomputed from a fresh
+        projection and the threshold relaxed, and if the fresh norms confirm
+        the collapse the tail is declared deficient ("stop").
         """
         k, m = self.k, self.n - self.k
+        norms = column_norms(self.B, from_col=k)
+        self.counters.comps += m - 1
+        self.counters.mults += self.p * (m - 1)
+        self.counters.adds += self.p * (m - 1)
+        if not (self.robust_armed and norms.max() < self.threshold * self.beta):
+            return "ok", norms
+        if self.t:
+            return "defer", None
         omega = self.rng.standard_normal((self.p, m))
         self.B[:, k:] = omega @ self._active_block()
         if self.omega is not None:
@@ -482,10 +487,11 @@ class _Engine:
         self.recompute_count += 1
         self.delta += 1.0 / self.cfg.robust_r
         self.threshold = _EPS**self.delta
-        tsel = float(column_norms(self.B, from_col=k).max())
-        if tsel < self.threshold * self.beta:
-            return "stop"
-        return "go"
+        norms = column_norms(self.B, from_col=k)
+        if norms.max() < self.threshold * self.beta:
+            self._terminate_deficient()
+            return "stop", None
+        return "ok", norms
 
     # -- pivot selection ---------------------------------------------------
 
@@ -573,7 +579,7 @@ class _Engine:
                 self.counters.divs += 2 * w
                 self.counters.mults += 4 * w + 2
                 self.counters.adds += 2 * w + 1
-        if self.B is not None and self.q_eff == 1 and w > 0:
+        if self.B is not None and self.cfg.q == 1 and w > 0:
             self.B[:, k + s :] -= self.B[:, k : k + s] @ lcols.T
             self.counters.mults += s * self.p * w
             self.counters.adds += s * self.p * w
@@ -585,7 +591,20 @@ class _Engine:
         return mirror_lower(self.A[self.k :, self.k :].copy())
 
     def _snapshot(self) -> None:
-        sub = self._active_block()
+        """Record the norms of step k's Schur complement, once per step.
+
+        Inside a panel that is the stored lower triangle minus the panel's
+        pending update, as ``_form_column`` corrects one column.  A step
+        recorded before it deferred leaves one snapshot more than there are
+        blocks, so its rerun records nothing.
+        """
+        if len(self.snapshots) > len(self.blocks):
+            return
+        k, k0, t = self.k, self.k0, self.t
+        sub = self.A[k:, k:].copy()
+        if t:
+            sub -= self.L[k:, k0 : k0 + t] @ self.W[k - k0 :, :t].T
+        mirror_lower(sub)
         self.snapshots.append((norm_1_inf(sub), float(column_norms(sub).max())))
 
     def _record_drift(self) -> None:
@@ -632,89 +651,62 @@ class _Engine:
         )
 
     def _run_panel(self) -> None:
-        n = self.n
-        self.k0 = self.k
-        width = min(self.b_eff, n - self.k0)
+        n, k0 = self.n, self.k
+        self.k0 = k0
+        width = min(self.cfg.b, n - k0)
         self.t = 0
         self.table_built = False
-        self.W = np.zeros((n - self.k0, min(width + 1, n - self.k0)))
-        if self.B is not None and self.q_eff > 1:
-            if self._panel_preselect(width) == "stop":
-                self.W = np.zeros((0, 0))
-                return
+        batch = self.B is not None and self.cfg.q > 1
+        if batch and n - k0 > 1 and self._panel_preselect(width) == "stop":
+            return
+        self.W = np.zeros((n - k0, min(width + 1, n - k0)))
         while self.k < n and self.t < width:
             # While walks run long, each panel is this one step: the next
             # walk then starts again from the exact Schur complement.
             if self._step(width) != "ok" or self.table_built:
                 break
         self._apply_trailing()
-        if self.B is not None and self.q_eff > 1 and self.t > 0 and self.k < n:
+        k, t = self.k, self.t
+        if batch and t > 0 and k < n:
             # One correction per panel: B(:,trail) -= B(:,panel) Lpp^-T Ltp^T.
-            k0, k = self.k0, self.k
             ltp = self.L[k:, k0:k]
             z = solve_triangular(
                 self.L[k0:k, k0:k], ltp.T, lower=True, unit_diagonal=True, trans="T"
             )
             self.B[:, k:] -= self.B[:, k0:k] @ z
             w = n - k
-            t = k - k0
             self.counters.mults += t * self.p * w + (t * (t - 1) // 2) * w
             self.counters.adds += t * self.p * w + (t * (t - 1) // 2) * w
-        if self.drift is not None and self.t > 0:
+        if self.drift is not None and t > 0:
             self._record_drift()
         self.W = np.zeros((0, 0))
 
     def _panel_preselect(self, width: int) -> str:
-        """Batch column selection for q=b panels; may trip the guard."""
-        k, n = self.k, self.n
-        m = n - k
-        if m <= 1:
-            return "go"
-        norms = column_norms(self.B, from_col=k)
-        self.counters.comps += m - 1
-        self.counters.mults += self.p * (m - 1)
-        self.counters.adds += self.p * (m - 1)
-        if self._robust_trip(float(norms.max())):
-            if self._robust_recompute() == "stop":
-                self._terminate_deficient()
-                return "stop"
-        qn = min(self.q_eff, width, m, self.p)
-        sel = partial_qrcp(self.B[:, k:], qn)
-        # Replay the chosen order as symmetric swaps.  partial_qrcp reports
-        # pre-call column positions, so track where each original now lives.
-        slot_of = np.arange(m)
-        orig_at = np.arange(m)
-        for j, orig in enumerate(sel):
-            x = int(slot_of[orig])
-            if x != j:
-                self._swap(k + j, k + x)
-                other = int(orig_at[j])
-                orig_at[j], orig_at[x] = orig, other
-                slot_of[orig], slot_of[other] = j, x
+        """Swap a q=b panel's sketch-selected columns to its front; "ok" or "stop"."""
+        k, m = self.k, self.n - self.k
+        status, _ = self._sketch_norms()
+        if status == "stop":
+            return status
+        # partial_qrcp reports positions before any swap, so take the labels
+        # found there and read each one's current position from perm.
+        labels = self.perm[k + np.array(partial_qrcp(self.B[:, k:], width))]
+        for j, label in enumerate(labels):
+            self._swap(k + j, int(np.flatnonzero(self.perm == label)[0]))
             self.counters.comps += m - 1 - j
             self.counters.mults += 2 * self.p * (m - j)
             self.counters.adds += 2 * self.p * (m - j)
-        return "go"
+        return "ok"
 
     def _step(self, width: int) -> str:
         k, n, t = self.k, self.n, self.t
         m = n - k
         if self.snapshots is not None:
             self._snapshot()
-        if self.B is not None and self.q_eff == 1 and m > 1:
-            norms = column_norms(self.B, from_col=k)
-            self.counters.comps += m - 1
-            self.counters.mults += self.p * (m - 1)
-            self.counters.adds += self.p * (m - 1)
-            jloc = int(norms.argmax())
-            if self._robust_trip(float(norms[jloc])):
-                if t > 0:
-                    return "defer"  # flush the panel, then retest at t == 0
-                if self._robust_recompute() == "stop":
-                    self._terminate_deficient()
-                    return "stop"
-                jloc = int(np.argmax(column_norms(self.B, from_col=k)))
-            self._swap(k, k + jloc)
+        if self.B is not None and self.cfg.q == 1 and m > 1:
+            status, norms = self._sketch_norms()
+            if status != "ok":
+                return status
+            self._swap(k, k + int(norms.argmax()))
         comps = self.counters.comps
         decision, c_k = self._decide()
         if decision.kind is PivotKind.DEFER:
@@ -752,19 +744,6 @@ def factor(a: np.ndarray, cfg: FactorConfig | None = None, **overrides) -> Facto
         raise ValueError("pass either cfg or keyword overrides, not both")
     if cfg is None:
         cfg = FactorConfig(**overrides)
-    return _Engine(a, cfg).run()
-
-
-def factor_robust(a: np.ndarray, cfg: FactorConfig | None = None, **overrides) -> Factorization:
-    """Like :func:`factor` with the sketch-collapse guard always armed."""
-    if cfg is not None and overrides:
-        raise ValueError("pass either cfg or keyword overrides, not both")
-    if cfg is None:
-        cfg = FactorConfig(**overrides)
-    if cfg.strategy is not Strategy.RCP:
-        raise ValueError("the guarded mode requires the rcp strategy")
-    if cfg.robust_r < 1:
-        raise ValueError("factor_robust needs robust_r >= 1")
     return _Engine(a, cfg).run()
 
 

@@ -26,10 +26,11 @@ checks the header before reading data and accepts real or integer fields,
 ``coordinate`` or ``array`` formats, and ``symmetric`` storage (mirrored) or
 exactly symmetric ``general`` storage.  Other fields and symmetries,
 rectangular or oversized shapes, duplicate entries (a pair ``(i, j)``,
-``(j, i)`` in symmetric storage included), short packed arrays and data
-lines holding other than three values (coordinate) or one (array) raise
-``ValueError`` naming the file.  Saving writes shortest round-trip values,
-so a save/load round trip is bitwise.
+``(j, i)`` in symmetric storage included), short packed arrays, data
+lines holding other than three values (coordinate) or one (array), and a
+NaN or Inf value raise ``ValueError`` naming the file.  Saving rejects a
+NaN or Inf by name before the symmetry check, as ``factor`` does, and
+writes shortest round-trip values, so a save/load round trip is bitwise.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import hankel
 
-from .core import is_exactly_symmetric, mirror_lower, require_symmetric
+from .core import is_exactly_symmetric, mirror_lower
+from .core import require_finite, require_square, require_symmetric
 from .pivot import BK_ALPHA
 
 __all__ = [
@@ -287,6 +289,7 @@ def _read_symmetric(path: str, max_dim: int) -> np.ndarray:
             raise ValueError("duplicate coordinate entries")
         m = m.toarray()
     a = np.asarray(m, dtype=np.float64)
+    require_finite(a)
     if symmetry == "general" and not is_exactly_symmetric(a):
         raise ValueError("general matrix is not exactly symmetric")
     return a
@@ -314,7 +317,9 @@ def save_matrix_market(a: np.ndarray, path: str) -> None:
     import scipy.io
     from scipy.sparse import coo_array
 
-    a = require_symmetric(a)
+    a = require_square(a)
+    require_finite(a)
+    require_symmetric(a)
     # A file object: mmwrite would turn a bare path "m" into "m.mtx".
     with open(path, "wb") as fh:
         scipy.io.mmwrite(fh, coo_array(np.tril(a)), symmetry="symmetric")

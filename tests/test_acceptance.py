@@ -18,7 +18,6 @@ from randldl import (
     SBKP_ALPHA,
     backward_error,
     factor,
-    factor_robust,
     jl_required_p,
     reconstruct,
     solve,
@@ -157,7 +156,7 @@ def growth_suite():
         for _ in range(count):
             a = gallery(family, n, seed=seed)
             f = factor(
-                a, strategy="rcp", p=5, seed=seed + 10_000, track_growth="full"
+                a, strategy="rcp", p=5, b=1, seed=seed + 10_000, track_growth="full"
             )
             low = np.abs(np.tril(f.L, -1))
             colmax = low.max(axis=0)
@@ -209,7 +208,7 @@ def test_criterion_07_sketch_update_fidelity():
     worst = 0.0
     for seed in range(20):
         a = gallery("type6", 200, seed=seed)
-        f = factor(a, strategy="rcp", p=5, seed=seed, audit_sketch=True)
+        f = factor(a, strategy="rcp", p=5, b=1, seed=seed, audit_sketch=True)
         worst = max(worst, max(f.stats.sketch_drift))
     check(
         worst <= 1e-10,
@@ -238,7 +237,7 @@ def test_criterion_08_backward_error():
     a = gallery("type10", n, seed=11)
     x_true = np.random.Generator(np.random.Philox(99)).uniform(-1.0, 1.0, n)
     b = a @ x_true
-    f = factor_robust(a, strategy="rcp", p=5, seed=1)
+    f = factor(a, strategy="rcp", p=5, seed=1)
     err = solve(f, b, a=a).backward_error
     if err > worst:
         worst, worst_at = err, "rcp-robust/type10"

@@ -17,7 +17,6 @@ from randldl import (
     SBKP_ALPHA,
     Strategy,
     factor,
-    factor_robust,
     generate,
     reconstruct,
 )
@@ -165,7 +164,7 @@ def test_zero_matrix_unguarded_sketch_skips():
 def test_guarded_mode_detects_zero_tail():
     a = np.zeros((65, 65))
     a[:40, :40] = random_symmetric(40, seed=5)
-    f = factor_robust(a, strategy="rcp", p=6, seed=2)
+    f = factor(a, strategy="rcp", p=6, seed=2)
     assert f.deficient_from == 40
     assert np.all(f.pattern[40:] == PAT_DEFICIENT)
     assert np.all(f.pattern[:40] != PAT_DEFICIENT)
@@ -478,9 +477,68 @@ def test_cheap_tracking_leaves_full_stats_unset():
 
 def test_audit_mode_reports_tiny_sketch_drift():
     a = random_symmetric(60, seed=1)
-    f = factor(a, strategy="rcp", p=8, audit_sketch=True, seed=1)
+    f = factor(a, strategy="rcp", p=8, b=1, audit_sketch=True, seed=1)
     drift = f.stats.sketch_drift
     assert drift and max(drift) <= 1e-10
+
+
+def _replayed_snapshots(a, f):
+    """Snapshot norms of a plain right-looking elimination along f's pivots."""
+    s = a[np.ix_(f.perm, f.perm)]
+    out = []
+    for blk in f.D.blocks:
+        out.append((np.abs(s).max(), np.linalg.norm(s, axis=0).max()))
+        z = blk.shape[0]
+        s = s[z:, z:] - s[z:, :z] @ np.linalg.solve(blk, s[:z, z:])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("family, n", [("type6", 200), ("type3", 256), ("type7", 256)])
+def test_full_tracking_runs_at_the_configured_width(family, n):
+    # Snapshots inside a panel subtract its pending update, so b = 64 runs
+    # its own panels and still records b = 1's Schur complements, once per
+    # step: type6 n = 200 seed 3 defers two steps, which must not record
+    # twice.
+    for seed in range(4):
+        a = generate(MatrixSpec(family, n, seed=seed))
+        ref = factor(a, b=1, seed=seed, track_growth="full")
+        f = factor(a, b=64, seed=seed, track_growth="full")
+        assert np.array_equal(f.perm, ref.perm) and np.array_equal(f.pattern, ref.pattern)
+        got, want = np.array(f.stats.snapshots), np.array(ref.stats.snapshots)
+        assert got.shape == want.shape == (len(f.D.blocks), 2)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        # Tracking only reads: the run is the untracked b = 64 run.
+        assert np.array_equal(f.L, factor(a, b=64, seed=seed).L)
+
+
+def test_full_tracking_runs_q_b_panels():
+    # A q = b panel selects its pivots by QR with column pivoting, so no
+    # b = 1 run shares them.  The tracked run must be the untracked one, with
+    # one snapshot per step that matches a plain elimination along its
+    # pivots to rounding (relative to the largest snapshot, because the two
+    # orders of operations round differently).
+    for seed in range(3):
+        a = generate(MatrixSpec("type6", 200, seed=seed))
+        plain = factor(a, p=16, b=16, q=16, seed=seed)
+        f = factor(a, p=16, b=16, q=16, seed=seed, track_growth="full")
+        assert np.array_equal(f.perm, plain.perm) and np.array_equal(f.pattern, plain.pattern)
+        assert np.array_equal(f.L, plain.L)
+        got, want = np.array(f.stats.snapshots), _replayed_snapshots(a, f)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-10 * want.max(axis=0))
+
+
+@pytest.mark.parametrize("width", [16, 64])
+def test_audit_covers_q_b_sketch_correction(width):
+    # The drift audit runs at each panel end, so at p = b = q it checks the
+    # once-per-panel sketch correction.
+    for seed in range(3):
+        a = generate(MatrixSpec("type6", 200, seed=seed))
+        f = factor(a, p=width, b=width, q=width, seed=seed, audit_sketch=True)
+        drift = f.stats.sketch_drift
+        assert len(drift) >= 200 // width - 1
+        assert max(drift) <= 1e-10
+        assert np.array_equal(f.L, factor(a, p=width, b=width, q=width, seed=seed).L)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -492,7 +550,7 @@ def test_max_multiplier_is_largest_strict_lower_entry(strategy, b):
     # A deficient tail leaves its columns of L at zero.
     a = np.zeros((65, 65))
     a[:40, :40] = random_symmetric(40, seed=5)
-    f = factor_robust(a, strategy="rcp", p=6, seed=2, b=b)
+    f = factor(a, strategy="rcp", p=6, seed=2, b=b)
     assert f.deficient_from == 40
     assert f.stats.max_multiplier == np.abs(np.tril(f.L, -1)).max()
 
@@ -566,10 +624,3 @@ def test_config_is_frozen():
 def test_input_validation(a, match):
     with pytest.raises(ValueError, match=match):
         factor(a, strategy="bkpp")
-
-
-def test_factor_robust_requires_sketched_strategy():
-    with pytest.raises(ValueError, match="rcp"):
-        factor_robust(np.eye(3), strategy="bkpp")
-    with pytest.raises(ValueError, match="robust_r"):
-        factor_robust(np.eye(3), strategy="rcp", robust_r=0)

@@ -357,6 +357,27 @@ def test_save_validation(tmp_path):
         save_matrix_market(np.zeros((0, 0)), path)
 
 
+def test_non_finite_values_are_named_on_save_and_load(tmp_path):
+    # A NaN fails an exact symmetry check (NaN != NaN), so it must be caught
+    # first, by name, as factor does.
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        save_matrix_market(np.array([[np.nan, 0.0], [0.0, 1.0]]), str(tmp_path / "s.mtx"))
+    general = write_mm(
+        tmp_path,
+        "%%MatrixMarket matrix array real general\n2 2\nnan\n0\n0\n1\n",
+        name="general.mtx",
+    )
+    symmetric = write_mm(
+        tmp_path,
+        "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n2 1 nan\n",
+        name="symmetric.mtx",
+    )
+    for path in (general, symmetric):
+        with pytest.raises(ValueError, match="NaN or Inf") as info:
+            load_matrix_market(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
 def test_file_backed_family(tmp_path):
     a = gen("type6", n=7, seed=2)
     path = str(tmp_path / "t9.mtx")

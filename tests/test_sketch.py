@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from randldl import PAT_PAIR_START, FactorConfig, factor, factor_robust
+from randldl import PAT_PAIR_START, FactorConfig, factor
 from randldl.core import column_norms
 from randldl.factor import _Engine
 from randldl.gallery import MatrixSpec, generate
@@ -48,8 +48,6 @@ def test_sketch_state_needs_positive_p():
     a = random_symmetric(4, seed=0)
     with pytest.raises(ValueError, match="positive"):
         factor(a, p=0)
-    with pytest.raises(ValueError, match="positive"):
-        factor_robust(a, p=0)
 
 
 # -- downdates and recomputation ------------------------------------------
@@ -74,7 +72,7 @@ def test_update_sketch_matches_projected_schur_complement():
     # pivot 2x2, so both downdate shapes are checked.
     a = random_symmetric(9, seed=3)
     np.fill_diagonal(a, 0.0)
-    f = factor(a, p=3, audit_sketch=True, seed=0)
+    f = factor(a, p=3, b=1, audit_sketch=True, seed=0)
     assert f.pattern[0] == PAT_PAIR_START
     drift = f.stats.sketch_drift
     assert len(drift) == len(f.D.blocks) - 1  # every step but the last
@@ -86,8 +84,8 @@ def test_recompute_advances_stream_and_counts():
     # collapse, and the remaining pivots follow that fresh sketch.  It is
     # drawn from the seeded stream too, so a rerun repeats it exactly.
     a = generate(MatrixSpec(family="type10", n=80, seed=0))
-    f1 = factor_robust(a, p=5, seed=0)
-    f2 = factor_robust(a, p=5, seed=0)
+    f1 = factor(a, p=5, seed=0)
+    f2 = factor(a, p=5, seed=0)
     assert f1.stats.recompute_count == f2.stats.recompute_count == 1
     assert f1.deficient_from is None
     assert np.array_equal(f1.perm, f2.perm)
@@ -181,7 +179,7 @@ def test_panel_preselect_replays_selection_as_symmetric_swaps():
     a = random_symmetric(40, seed=6)
     engine = _Engine(a, FactorConfig(p=16, b=16, q=16, seed=3))
     b0 = engine.B.copy()
-    assert engine._panel_preselect(16) == "go"
+    assert engine._panel_preselect(16) == "ok"
     perm = engine.perm
     assert list(perm[:16]) == partial_qrcp(b0, 16)
     assert np.array_equal(np.tril(engine.A), np.tril(a[np.ix_(perm, perm)]))

@@ -13,7 +13,6 @@ from randldl import (
     GrowthStats,
     backward_error,
     factor,
-    factor_robust,
     solve,
     solve_many,
 )
@@ -171,7 +170,7 @@ def test_solve_many_columns_match_single_solves():
 def test_deficient_solve_flags_singular_and_stays_consistent():
     a = np.zeros((65, 65))
     a[:40, :40] = random_symmetric(40, seed=5)
-    f = factor_robust(a, strategy="rcp", p=6, seed=2)
+    f = factor(a, strategy="rcp", p=6, seed=2)
     x_true = np.random.Generator(np.random.Philox(11)).uniform(-1.0, 1.0, 65)
     b = a @ x_true  # consistent: b lies in the range of the singular matrix
     report = solve(f, b, a=a)
@@ -214,6 +213,40 @@ def test_factorization_rejects_non_permutation(perm):
             L=np.eye(3),
             D=BlockDiag([np.eye(1)] * 3),
             pattern=np.zeros(3, dtype=np.int8),
+            stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
+        )
+
+
+def test_factorization_rejects_D_of_wrong_size():
+    # Caught when built, not first in solve.
+    with pytest.raises(ValueError, match="D covers 2 rows, expected 3"):
+        Factorization(
+            perm=np.arange(3),
+            L=np.eye(3),
+            D=BlockDiag([np.eye(1)] * 2),
+            pattern=np.zeros(3, dtype=np.int8),
+            stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
+        )
+
+
+@pytest.mark.parametrize(
+    "blocks, pattern",
+    [
+        ([np.eye(1)] * 2, [1, 2]),
+        ([np.eye(2)], [0, 0]),
+        ([np.eye(1), np.eye(2)], [1, 2, 0]),
+        ([np.eye(1)] * 2, [0, 0, 0]),
+    ],
+    ids=["pair-over-1x1s", "1x1s-over-pair", "pair-shifted", "long"],
+)
+def test_factorization_rejects_pattern_disagreeing_with_D(blocks, pattern):
+    n = sum(b.shape[0] for b in blocks)
+    with pytest.raises(ValueError, match="pattern"):
+        Factorization(
+            perm=np.arange(n),
+            L=np.eye(n),
+            D=BlockDiag(blocks),
+            pattern=np.array(pattern, dtype=np.int8),
             stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
         )
 

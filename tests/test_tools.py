@@ -22,6 +22,8 @@ def test_pivot_digest_quick_grid():
     assert len(rows) == 144
     keys = {(r["family"], r["n"], r["seed"], r["config"]) for r in rows}
     assert len(keys) == len(rows)
+    # A change to the guard shows up in the same diff as a change of pivots.
+    assert all("recompute_count" in r and "deficient_from" in r for r in rows)
     # On the full-rank families, blocked and unblocked runs pick the same pivots.
     pivots = defaultdict(dict)
     for r in rows:

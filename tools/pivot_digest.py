@@ -9,10 +9,10 @@ Run from the repository root, once per tree, and compare the outputs:
 
 Each line is one JSON object per case: the family, n, seed and
 configuration, 16-hex-digit SHA-256 digests of ``perm``, ``pattern`` and
-``stats.counters``, and ``max |L|`` (printed with ``repr``, so it compares
-bitwise).  The grid is type2, type6 and type10 at n in {64, 300, 1024},
-seeds 0-2, under the configurations named in ``CONFIGS``; ``--quick`` keeps
-n <= 300.  ``randldl`` is imported from ``--src`` (default: ``src/`` beside
+``stats.counters``, ``max |L|`` (printed with ``repr``, so it compares
+bitwise), the guard's ``recompute_count`` and ``deficient_from``.  The grid
+is type2, type6 and type10 at n in {64, 300, 1024}, seeds 0-2, under the
+configurations named in ``CONFIGS``; ``--quick`` keeps n <= 300.  ``randldl`` is imported from ``--src`` (default: ``src/`` beside
 this directory).  Pin the BLAS thread count (``OPENBLAS_NUM_THREADS=1``) on
 both sides: a threaded GEMM may round differently.
 """
@@ -72,6 +72,8 @@ def main(argv: list[str] | None = None) -> int:
                         "pattern": digest(np.asarray(f.pattern, dtype=np.int8).tobytes()),
                         "counters": digest(counters.encode()),
                         "max_abs_L": repr(float(np.abs(f.L).max())),
+                        "recompute_count": f.stats.recompute_count,
+                        "deficient_from": f.deficient_from,
                     }
                     print(json.dumps(row), flush=True)
     return 0
