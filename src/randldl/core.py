@@ -8,6 +8,12 @@ Conventions used throughout the package:
   eliminating, as LAPACK ``dsytrf`` does: kernels that work on that block
   read and write its lower triangle and leave the strict upper one alone.
   ``mirror_lower`` rebuilds the full matrix where one is needed.
+* The factorization's working arrays (the matrix, ``L`` and the panel
+  buffer) are column-major, as in LAPACK, so a column is contiguous and a
+  row is strided.  Kernels take any layout; ``sym_swap`` reads one row
+  segment, the rest are columns.  The rows of finished columns of ``L``
+  are not swapped step by step: each closed block of them is permuted by
+  one gather after the last step.
 * A permutation is a 1-D integer ndarray ``perm`` of length n containing
   each index exactly once.  Applied symmetrically it relabels the matrix as
   ``A[perm][:, perm]``.
@@ -114,7 +120,8 @@ def sym_swap(a: np.ndarray, i: int, j: int) -> None:
         return
     if i > j:
         i, j = j, i
-    exchange(a[i, :i], a[j, :i])
+    if i:
+        exchange(a[i, :i], a[j, :i])
     exchange(a[i + 1 : j, i], a[j, i + 1 : j])
     a[i, i], a[j, j] = a[j, j], a[i, i]
     exchange(a[j + 1 :, i], a[j + 1 :, j])
@@ -127,25 +134,49 @@ def mirror_lower(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# column_norms rescales when the largest sum of squares is below this.  At or
+# above it, every column whose sum is within rounding of the largest one is
+# far above the subnormal range, so squares lost to underflow cannot change
+# which column is largest.
+_TINY_SUM = 2.0**-900
+
+
 def column_norms(m: np.ndarray, from_col: int = 0) -> np.ndarray:
     """Euclidean norms of columns ``from_col:`` of ``m``.
 
-    Accumulates squares of entries scaled by each column's max magnitude, so
-    columns with entries up to about 1e150 neither overflow nor underflow to
-    zero spuriously.
+    The squares are summed as the entries stand.  If the largest sum
+    overflowed or lies near the subnormal range, they are summed again at
+    the power of two that brings the block's largest magnitude into
+    [0.5, 1), so no column overflows.  Either way the norms of ``2**e * m``
+    are ``2**e`` times those of ``m``, up to squares lost to underflow far
+    below the largest, and the largest column is the same one.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("column_norms expects a 2-D array")
     if not (0 <= from_col <= m.shape[1]):
         raise ValueError(f"from_col={from_col} out of range for {m.shape[1]} columns")
-    block = np.abs(m[:, from_col:])
-    if block.shape[1] == 0:
-        return np.zeros(0)
-    if block.shape[0] == 0:
+    block = m[:, from_col:]
+    if block.size == 0:
         return np.zeros(block.shape[1])
-    scale = block.max(axis=0)
-    safe = np.where(scale > 0.0, scale, 1.0)
-    scaled = block / safe
-    return scale * np.sqrt(np.einsum("ij,ij->j", scaled, scaled))
+    sums = _sums_of_squares(block)
+    if _TINY_SUM <= sums[sums.argmax()] < math.inf:
+        return np.sqrt(sums, out=sums)
+    top = float(np.abs(block).max())
+    if top == 0.0 or not math.isfinite(top):
+        return np.sqrt(sums, out=sums)
+    e = math.frexp(top)[1]
+    return np.ldexp(np.sqrt(_sums_of_squares(np.ldexp(block, -e))), e)
+
+
+def _sums_of_squares(block: np.ndarray) -> np.ndarray:
+    """Each column's sum of squares, accumulated from the first row down.
+
+    einsum runs over a C-ordered copy, adding one row's squares to all the
+    sums at once; on a short column-major block, such as the sketch, that
+    beats summing each column on its own.  Unlike a ufunc, einsum does not
+    warn when a square overflows, which column_norms handles itself.
+    """
+    sq = np.ascontiguousarray(block)
+    return np.einsum("ij,ij->j", sq, sq)
 

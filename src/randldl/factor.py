@@ -36,17 +36,43 @@ panel.  ``dgeqp3`` scales its column norms, so they neither overflow nor
 underflow and a power-of-two scaling of the sketch leaves the choice as is.
 
 Only the lower triangle of the active block ``A[k:, k:]`` is kept, as in
-LAPACK ``dsytrf``/``dlasyf``.  A column is read as the row segment left of
-the diagonal plus the column segment from the diagonal down; swaps touch
-the active block's lower triangle only, as ``dsyswapr`` does; and each
-strip of the trailing update covers its columns from the diagonal down, so
-a panel of t columns costs about ``t m^2 / 2`` multiplies on an m x m block
-rather than ``t m^2``.  The strip products also update the upper half of
-each diagonal strip square, whose values are never used: no result depends
-on the strict upper triangle.  The rare paths that need the whole block
-(the guard's fresh projection, full growth tracking and the sketch audit)
-mirror a copy of it on demand, at the configured ``b`` and ``q``: a growth
-snapshot inside a panel subtracts the panel's pending update.
+LAPACK ``dsytrf``/``dlasyf``, and ``A``, ``L`` and the panel's ``W`` are
+stored column-major as there, so the columns the engine forms, writes and
+multiplies are contiguous; ``A``'s columns are padded, so that at n = 1024
+or 2048 its rows do not stride by a multiple of 4 KiB.  A column is read as
+the row segment left of the diagonal plus the column segment from the
+diagonal down; swaps touch the active block's lower triangle only, as
+``dsyswapr`` does; and each strip of the trailing update covers its columns
+from the diagonal down, so a panel of t columns costs about ``t m^2 / 2``
+multiplies on an m x m block rather than ``t m^2``.  Each strip is formed
+as ``(W L^T)^T``, whose temporary has the layout of ``A``.  The strip
+products also update the upper half of each diagonal strip square, whose
+values are never used: no result depends on the strict upper triangle.  The
+rare paths that need the whole block (the guard's fresh projection, full
+growth tracking and the sketch audit) mirror a copy of it on demand, at the
+configured ``b`` and ``q``: a growth snapshot inside a panel subtracts the
+panel's pending update.
+
+A swap exchanges the rows of ``L`` only over the open block: the columns
+from the first one not yet closed up to k, the current panel among them.
+The open block closes at a panel end once it is at least ``max(b, 64)``
+columns wide, recording ``perm`` there, and the rows of each closed block
+are permuted once, after the last step, by every interchange made after it
+closed: one gather per block, as LAPACK applies ``dlaswp`` after
+``dlasyf``, rather than two strided row swaps per step over all of ``L``.
+
+The columns a step forms are kept, keyed by position, until it ends: a
+swap exchanges their two entries and relabels them, and the elimination
+takes its pivot columns from them.  A column formed again, or a diagonal
+entry taken as a dot product, would round differently from the one the
+search read, so a 2x2 block could miss the determinant bound its search
+established; the rcp search therefore forms column r whole for its
+diagonal entry.  The cost model charges every use as a formation.
+
+The q = 1 sketch norms come from ``column_norms``, which sums the squares
+as they stand and rescales by a power of two only when the largest sum
+overflows or nears the subnormal range, so ``2**e * A`` selects as ``A``
+does.
 
 A guarded mode watches the selected sketch column norm; when it falls below
 ``eps**delta * beta`` (``beta`` being the initial sketch norm), the sketch is
@@ -67,6 +93,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemm
 
 from .core import (
     column_norms,
@@ -129,6 +156,19 @@ _STRIP = 128
 # and type10 at n = 512, type6 also at 1024) never walk this far.
 _ROOK_HOPS = 8
 
+# Spare entries after each column of the working copy of A.  When n is a
+# multiple of 512 (n = 1024, 2048), a row of A, which every swap reads,
+# would step by a multiple of 4 KiB and map all its entries to a few cache
+# sets.  8 entries are one 64-byte line, so each column keeps its offset
+# within a line.  sym_swap at n = 2048 took 10.6 us unpadded and 6.1 us
+# padded, on one core of the 2-core x86-64 host of the timings above.
+_PAD = 8
+
+# Narrowest block of L's columns that closes.  Each closed block keeps a copy
+# of perm past it, so at small b this bounds those copies by n**2 / 128
+# entries in all; at the default b = 64 every panel end closes a block.
+_CLOSE = 64
+
 # Pattern labels, one per index of the factorization.
 PAT_SINGLE = 0
 PAT_PAIR_START = 1
@@ -169,9 +209,11 @@ class FactorConfig:
     ``q``.  ``robust_r`` is the recompute budget of the guarded mode, armed
     by default; 0 disables the guard.  ``track_growth="full"`` copies every
     step's Schur complement and ``audit_sketch`` projects the active block
-    at every panel end; both are meant for experiments, not production
-    solves, and neither changes the pivots.  A config is validated once,
-    here, and is then frozen.
+    at every panel end that leaves one; both are meant for experiments, not
+    production solves, and neither changes the pivots.  A run that is a
+    single panel (n <= b, no step deferred) leaves no trailing block, so
+    its audit records nothing: ``stats.sketch_drift == []``.  A config is
+    validated once, here, and is then frozen.
     """
 
     strategy: Strategy = Strategy.RCP
@@ -303,8 +345,8 @@ class Factorization:
 
 def _block_multipliers(
     c0: np.ndarray, c1: np.ndarray | None, k: int, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Multipliers and diagonal block from updated pivot column(s).
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Multipliers, diagonal block and largest |multiplier| from pivot column(s).
 
     ``c0`` (and ``c1`` for a 2x2 block) hold the pivot columns of the active
     Schur complement starting at the pivot row, which is row ``k``.  The 2x2
@@ -316,6 +358,7 @@ def _block_multipliers(
     """
     if c1 is None:
         d = float(c0[0])
+        entries = (d,)
         sub = c0[1:]
         dblock = np.array([[d]])
         if sub.any():
@@ -328,21 +371,29 @@ def _block_multipliers(
             lcols = np.zeros((sub.size, 1))
     else:
         d11, d21, d22 = float(c0[0]), float(c0[1]), float(c1[1])
+        entries = (d11, d21, d22)
         dblock = np.array([[d11, d21], [d21, d22]])
         det = d11 * d22 - d21 * d21
         if det == 0.0:
             raise NumericalError(f"singular 2x2 pivot block at step {k}", k, dblock)
+        # Columns (a1 d22 - d21 a2) / det and (d11 a2 - d21 a1) / det, each
+        # rounded as written, formed in place in one column-major array.
         a1, a2 = c0[2:], c1[2:]
-        l1 = (a1 * d22 - d21 * a2) / det
-        l2 = (d11 * a2 - d21 * a1) / det
-        lcols = np.column_stack([l1, l2])
-    if not np.isfinite(dblock).all() or not np.isfinite(lcols).all():
+        lcols = np.empty((a1.size, 2), order="F")
+        np.multiply(a1, d22, out=lcols[:, 0])
+        np.multiply(a2, d11, out=lcols[:, 1])
+        lcols[:, 0] -= d21 * a2
+        lcols[:, 1] -= d21 * a1
+        lcols /= det
+    # A NaN or an infinity among the multipliers makes their maximum one too.
+    lmax = float(np.abs(lcols).max(initial=0.0))
+    if not (all(map(math.isfinite, entries)) and math.isfinite(lmax)):
         raise NumericalError(f"non-finite pivot data at step {k}", k, dblock)
     # Every strategy's 2x2 acceptance implies |det| > (1-alpha^2) d21^2;
     # anything below that (modulo rounding) marks a broken invariant.
     if c1 is not None and abs(det) < (1.0 - alpha * alpha) * d21 * d21 * (1.0 - 1e-12):
         raise NumericalError(f"2x2 block at step {k} violates its determinant bound", k, dblock)
-    return lcols, dblock
+    return lcols, dblock, lmax
 
 
 class _Engine:
@@ -354,9 +405,19 @@ class _Engine:
         a = require_symmetric(a, "A")
         self.cfg = cfg
         self.n = n = a.shape[0]
-        self.A = np.array(a, dtype=np.float64, copy=True)
-        self.L = np.eye(n)
+        # a is symmetric, so its rows copied into a C buffer and read through
+        # the transpose are A column-major, each column _PAD entries apart.
+        padded = np.empty((n, n + _PAD))
+        padded[:, :n] = a
+        self.A = padded.T[:n]
+        self.L = np.eye(n, order="F")
         self.perm = identity_permutation(n)
+        # L's rows follow every swap over columns open0:k only; each closed
+        # block (c0, c1, perm[c1:] when it closed) is gathered once by run.
+        self.open0 = 0
+        self.closed: list[tuple[int, int, np.ndarray]] = []
+        # Columns formed in this step, keyed by their current position.
+        self.cols: dict[int, np.ndarray] = {}
         self.pattern = np.zeros(n, dtype=np.int8)
         self.blocks: list[np.ndarray] = []
         # Largest |multiplier| so far: every strictly lower entry of L is
@@ -370,7 +431,8 @@ class _Engine:
 
         # The sketch B = Omega A exists for rcp only.  Every Omega, including
         # the guard's fresh ones, comes from one Philox stream, so a run is
-        # reproducible given the seed.
+        # reproducible given the seed.  B is column-major, so its trailing
+        # columns are one contiguous block that dgemm downdates in place.
         self.B: np.ndarray | None = None
         self.omega: np.ndarray | None = None
         self.p = cfg.p
@@ -378,7 +440,7 @@ class _Engine:
         if self.strategy is Strategy.RCP:
             self.rng = np.random.Generator(np.random.Philox(cfg.seed))
             self.omega = self.rng.standard_normal((cfg.p, n))
-            self.B = self.omega @ self.A
+            self.B = np.asfortranarray(self.omega @ self.A)
             if not cfg.audit_sketch:
                 self.omega = None
 
@@ -408,36 +470,62 @@ class _Engine:
         """Relabel positions i and j across every live array."""
         if i == j:
             return
-        k = self.k
+        k, t = self.k, self.t
         sym_swap(self.A[k:, k:], i - k, j - k)
-        if k:
-            exchange(self.L[i, :k], self.L[j, :k])
-        if self.W.size:
-            exchange(self.W[i - self.k0], self.W[j - self.k0])
+        if k > self.open0:
+            exchange(self.L[i, self.open0 : k], self.L[j, self.open0 : k])
+        if t:
+            exchange(self.W[i - self.k0, :t], self.W[j - self.k0, :t])
         if self.B is not None:
             exchange(self.B[:, i], self.B[:, j])
         if self.omega is not None:
             exchange(self.omega[:, i], self.omega[:, j])
         self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
+        if self.cols:
+            for c in self.cols.values():
+                c[i - k], c[j - k] = c[j - k], c[i - k]
+            ci, cj = self.cols.pop(i, None), self.cols.pop(j, None)
+            if ci is not None:
+                self.cols[j] = ci
+            if cj is not None:
+                self.cols[i] = cj
 
     def _form_column(self, j: int) -> np.ndarray:
-        """Column j of the active Schur complement (rows k:), panel-corrected."""
+        """Column j of the active Schur complement (rows k:), panel-corrected.
+
+        Always a new array: the step's cache exchanges its entries in place.
+        """
         k, t = self.k, self.t
-        c = np.concatenate((self.A[j, k:j], self.A[j:, j]))
+        c = np.concatenate((self.A[j, k:j], self.A[j:, j])) if j > k else self.A[k:, k]
         if t:
-            c -= self.L[k:, self.k0 : self.k0 + t] @ self.W[j - self.k0, :t]
-            self.counters.mults += t * c.size
-            self.counters.adds += t * c.size
+            return c - self.L[k:, self.k0 : self.k0 + t] @ self.W[j - self.k0, :t]
+        return c if j > k else c.copy()
+
+    def _column(self, j: int, charge: int | None = None) -> np.ndarray:
+        """Column j for the search or the elimination.
+
+        The step's first request forms it; later ones take it as formed,
+        with the entries of every swap since exchanged.  Each request is
+        charged ``charge`` multiply-adds, by default a whole formation.
+        """
+        c = self.cols.get(j)
+        if c is None:
+            if len(self.cols) > 2:
+                # A swap can bring only column k and the last two formed to
+                # k or k + 1; a rook walk forms more, which are not read again.
+                del self.cols[list(self.cols)[1]]
+            c = self.cols[j] = self._form_column(j)
+        if self.t:
+            self._charge(self.t * c.size if charge is None else charge)
         return c
 
     def _diag_entry(self, j: int) -> float:
-        t = self.t
-        val = float(self.A[j, j])
-        if t:
-            val -= float(self.L[j, self.k0 : self.k0 + t] @ self.W[j - self.k0, :t])
-            self.counters.mults += t
-            self.counters.adds += t
-        return val
+        """Diagonal entry j, read off column j and charged as one dot product."""
+        return float(self._column(j, self.t)[j - self.k])
+
+    def _charge(self, flops: int) -> None:
+        self.counters.mults += flops
+        self.counters.adds += flops
 
     def _apply_trailing(self) -> None:
         """Push the panel's delayed updates into the trailing lower triangle."""
@@ -450,9 +538,17 @@ class _Engine:
         # gemm; the last strip absorbs a 1-column remainder.
         cuts = (list(range(k, n - 1, _STRIP)) or [k]) + [n]
         for c0, c1 in zip(cuts, cuts[1:]):
-            self.A[c0:, c0:c1] -= self.L[c0:, panel] @ self.W[c0 - k0 : c1 - k0, :t].T
-        self.counters.mults += t * (m * (m + 1)) // 2
-        self.counters.adds += t * (m * (m + 1)) // 2
+            self.A[c0:, c0:c1] -= (self.W[c0 - k0 : c1 - k0, :t] @ self.L[c0:, panel].T).T
+        self._charge(t * (m * (m + 1)) // 2)
+
+    def _gather_closed_blocks(self) -> None:
+        """Permute each closed block's rows of L by every swap made after it closed."""
+        n = self.n
+        where = np.empty(n, dtype=np.int64)
+        lt = self.L.T
+        for c0, c1, then in self.closed:
+            where[then] = np.arange(c1, n)  # each label's position at the close
+            lt[c0:c1, c1:] = np.take(lt[c0:c1], where[self.perm[c1:]], axis=1)
 
     def _terminate_deficient(self) -> None:
         for j in range(self.k, self.n):
@@ -462,24 +558,25 @@ class _Engine:
 
     # -- guarded mode ----------------------------------------------------
 
-    def _sketch_norms(self) -> tuple[str, np.ndarray | None]:
-        """Sketch column norms of the active block behind the guard, with a status.
+    def _sketch_pivot(self) -> tuple[str, int]:
+        """Position of the largest sketch column norm behind the guard, with a status.
 
         A largest norm below ``threshold * beta`` trips the guard.  Inside a
         panel the step defers, to be retested where the stored block is the
         Schur complement; there the sketch is recomputed from a fresh
         projection and the threshold relaxed, and if the fresh norms confirm
-        the collapse the tail is declared deficient ("stop").
+        the collapse the tail is declared deficient ("stop").  The position
+        is k unless the status is "ok".
         """
         k, m = self.k, self.n - self.k
         norms = column_norms(self.B, from_col=k)
+        j = int(norms.argmax())
         self.counters.comps += m - 1
-        self.counters.mults += self.p * (m - 1)
-        self.counters.adds += self.p * (m - 1)
-        if not (self.robust_armed and norms.max() < self.threshold * self.beta):
-            return "ok", norms
+        self._charge(self.p * (m - 1))
+        if not (self.robust_armed and norms[j] < self.threshold * self.beta):
+            return "ok", k + j
         if self.t:
-            return "defer", None
+            return "defer", k
         omega = self.rng.standard_normal((self.p, m))
         self.B[:, k:] = omega @ self._active_block()
         if self.omega is not None:
@@ -488,10 +585,11 @@ class _Engine:
         self.delta += 1.0 / self.cfg.robust_r
         self.threshold = _EPS**self.delta
         norms = column_norms(self.B, from_col=k)
-        if norms.max() < self.threshold * self.beta:
+        j = int(norms.argmax())
+        if norms[j] < self.threshold * self.beta:
             self._terminate_deficient()
-            return "stop", None
-        return "ok", norms
+            return "stop", k
+        return "ok", k + j
 
     # -- pivot selection ---------------------------------------------------
 
@@ -507,10 +605,10 @@ class _Engine:
         self.table_built = True
         return _offdiag_table(self.A[self.k :, self.k :])
 
-    def _decide(self) -> tuple[PivotDecision, np.ndarray]:
-        """Pivot decision at step k, and the column k it was read from."""
+    def _decide(self) -> PivotDecision:
+        """Pivot decision at step k."""
         k, n = self.k, self.n
-        c_k = self._form_column(k)
+        c_k = self._column(k)
         sub = np.abs(c_k[1:])
         a_kk = float(c_k[0])
         if self.strategy is Strategy.RCP:
@@ -521,46 +619,39 @@ class _Engine:
                 k=k,
                 alpha=self.alpha,
                 counters=self.counters,
-            ), c_k
+            )
         if self.strategy is Strategy.BKPP:
             return _bkpp_from_data(
                 a_kk=a_kk,
                 sub=sub,
-                column_at=self._form_column,
+                column_at=self._column,
                 k=k,
                 alpha=self.alpha,
                 counters=self.counters,
-            ), c_k
+            )
         return _bbk_from_data(
             a_kk=a_kk,
             sub=sub,
-            column_at=self._form_column,
+            column_at=self._column,
             k=k,
             n=n,
             alpha=self.alpha,
             counters=self.counters,
             long_walk=self._long_walk,
             hop_limit=_ROOK_HOPS,
-        ), c_k
+        )
 
     # -- elimination -----------------------------------------------------
 
-    def _eliminate(self, decision: PivotDecision, c0: np.ndarray | None) -> None:
-        """Eliminate the pivot block at k; ``c0`` is column k if still current."""
+    def _eliminate(self, decision: PivotDecision) -> None:
+        """Eliminate the pivot block at k, from the columns its search formed."""
         k, n = self.k, self.n
         s = decision.s
-        if c0 is None:
-            c0 = self._form_column(k)
-        elif self.t:
-            # The cost model charges the pivot column's formation at
-            # elimination whether or not the search's copy is reused.
-            self.counters.mults += self.t * c0.size
-            self.counters.adds += self.t * c0.size
-        c1 = self._form_column(k + 1) if s == 2 else None
-        lcols, dblock = _block_multipliers(c0, c1, k, self.alpha)
+        c0 = self._column(k)
+        c1 = self._column(k + 1) if s == 2 else None
+        lcols, dblock, lmax = _block_multipliers(c0, c1, k, self.alpha)
         self.L[k + s :, k : k + s] = lcols
-        if lcols.size:
-            self.max_multiplier = max(self.max_multiplier, float(np.abs(lcols).max()))
+        self.max_multiplier = max(self.max_multiplier, lmax)
         w_rows = slice(k - self.k0, None)
         self.W[w_rows, self.t] = c0
         if s == 2:
@@ -580,9 +671,13 @@ class _Engine:
                 self.counters.mults += 4 * w + 2
                 self.counters.adds += 2 * w + 1
         if self.B is not None and self.cfg.q == 1 and w > 0:
-            self.B[:, k + s :] -= self.B[:, k : k + s] @ lcols.T
-            self.counters.mults += s * self.p * w
-            self.counters.adds += s * self.p * w
+            # dgemm downdates the tail in place when it is F-contiguous, as B
+            # is built; any other layout gets a copy back.
+            pivots, tail = self.B[:, k : k + s], self.B[:, k + s :]
+            out = dgemm(-1.0, pivots, lcols, 1.0, tail, trans_b=True, overwrite_c=True)
+            if out is not tail:
+                tail[...] = out
+            self._charge(s * self.p * w)
 
     # -- diagnostics -----------------------------------------------------
 
@@ -638,6 +733,7 @@ class _Engine:
             sketch_drift=self.drift,
             recompute_count=self.recompute_count,
         )
+        self._gather_closed_blocks()
         if self.snapshots:
             stats.rho_elem, stats.rho_col = growth_from_snapshots(self.snapshots)
             stats.L_norm1 = norm_1(self.L)
@@ -656,10 +752,11 @@ class _Engine:
         width = min(self.cfg.b, n - k0)
         self.t = 0
         self.table_built = False
+        self.cols.clear()
         batch = self.B is not None and self.cfg.q > 1
         if batch and n - k0 > 1 and self._panel_preselect(width) == "stop":
             return
-        self.W = np.zeros((n - k0, min(width + 1, n - k0)))
+        self.W = np.zeros((n - k0, min(width + 1, n - k0)), order="F")
         while self.k < n and self.t < width:
             # While walks run long, each panel is this one step: the next
             # walk then starts again from the exact Schur complement.
@@ -675,16 +772,18 @@ class _Engine:
             )
             self.B[:, k:] -= self.B[:, k0:k] @ z
             w = n - k
-            self.counters.mults += t * self.p * w + (t * (t - 1) // 2) * w
-            self.counters.adds += t * self.p * w + (t * (t - 1) // 2) * w
+            self._charge(t * self.p * w + (t * (t - 1) // 2) * w)
         if self.drift is not None and t > 0:
             self._record_drift()
         self.W = np.zeros((0, 0))
+        if k - self.open0 >= max(self.cfg.b, _CLOSE):
+            self.closed.append((self.open0, k, self.perm[k:].copy()))
+            self.open0 = k
 
     def _panel_preselect(self, width: int) -> str:
         """Swap a q=b panel's sketch-selected columns to its front; "ok" or "stop"."""
         k, m = self.k, self.n - self.k
-        status, _ = self._sketch_norms()
+        status, _ = self._sketch_pivot()
         if status == "stop":
             return status
         # partial_qrcp reports positions before any swap, so take the labels
@@ -693,22 +792,22 @@ class _Engine:
         for j, label in enumerate(labels):
             self._swap(k + j, int(np.flatnonzero(self.perm == label)[0]))
             self.counters.comps += m - 1 - j
-            self.counters.mults += 2 * self.p * (m - j)
-            self.counters.adds += 2 * self.p * (m - j)
+            self._charge(2 * self.p * (m - j))
         return "ok"
 
     def _step(self, width: int) -> str:
         k, n, t = self.k, self.n, self.t
         m = n - k
+        self.cols.clear()
         if self.snapshots is not None:
             self._snapshot()
         if self.B is not None and self.cfg.q == 1 and m > 1:
-            status, norms = self._sketch_norms()
+            status, j = self._sketch_pivot()
             if status != "ok":
                 return status
-            self._swap(k, k + int(norms.argmax()))
+            self._swap(k, j)
         comps = self.counters.comps
-        decision, c_k = self._decide()
+        decision = self._decide()
         if decision.kind is PivotKind.DEFER:
             # The walk outgrew its hop limit inside the panel.  Its rerun at
             # the next panel's start is charged the whole search; the panel
@@ -717,18 +816,14 @@ class _Engine:
             return "defer"
         if decision.s == 2 and t > 0 and t + 2 > width:
             return "defer"  # 2x2 would overflow the panel; restart fresh
-        # Column k as the search formed it stays valid unless a swap follows.
         if decision.kind is PivotKind.ONE_BY_ONE_SWAP_R:
             self._swap(k, decision.r)
-            c_k = None
         elif decision.kind is PivotKind.TWO_BY_TWO:
             if decision.p is not None:
                 self._swap(k, decision.p)
-                c_k = None
             if decision.r != k + 1:
                 self._swap(k + 1, decision.r)
-                c_k = None
-        self._eliminate(decision, c_k)
+        self._eliminate(decision)
         self.k += decision.s
         self.t += decision.s
         return "ok"

@@ -113,10 +113,10 @@ def _scan_max_off(values: np.ndarray, d: int, counters: OpCounters) -> tuple[flo
     return float(values[j]), j
 
 
-# Block edge of ``_offdiag_table``'s transposed copies; the diagonal blocks
-# take their strict upper triangle through the constant mask ``_STRICT_UPPER``.
+# Block edge of ``_offdiag_table``'s row-segment copies; the diagonal blocks
+# take their strict lower triangle through the constant mask ``_STRICT_LOWER``.
 _TABLE_BLOCK = 128
-_STRICT_UPPER = np.triu(np.ones((_TABLE_BLOCK, _TABLE_BLOCK), dtype=bool), 1)
+_STRICT_LOWER = np.tril(np.ones((_TABLE_BLOCK, _TABLE_BLOCK), dtype=bool), -1)
 
 
 def _offdiag_table(a: np.ndarray) -> OffDiagTable:
@@ -124,21 +124,23 @@ def _offdiag_table(a: np.ndarray) -> OffDiagTable:
 
     Returns three lists: ``|a_jj|``, and the value and index that
     ``_scan_max_off(np.abs(column j), j, ...)`` returns for every j (m >= 2).
-    Row j of one m x m work array is made that scan's input: ``|a[j, :j]|``
-    (the row segment) as it lies, the column segment ``|a[j+1:, j]|``
-    transposed into the strict upper triangle block by block, and -inf on
-    the diagonal.  Its row maxima and first argmaxes are then bitwise the
-    column scans', ties and NaNs included.  The strict upper triangle of
-    ``a`` is never used.
+    Row j of one m x m work array, in C order, is made that scan's input:
+    the column segment ``|a[j+1:, j]|`` read through the transpose of ``a``
+    (contiguous when ``a`` is column-major, as the engine's block is), the
+    row segment ``|a[j, :j]|`` copied into the strict lower triangle block
+    by block, and -inf on the diagonal.  Its row maxima and first
+    argmaxes are then bitwise the column scans', ties and NaNs included.
+    The strict upper triangle of ``a`` is never used.
     """
     m = a.shape[0]
-    work = np.abs(a)
+    # Row j of a.T holds column j of the lower triangle from its diagonal on.
+    work = np.abs(a.T, order="C")
     for c0 in range(0, m, _TABLE_BLOCK):
         c1 = min(c0 + _TABLE_BLOCK, m)
-        np.abs(a[c1:, c0:c1].T, out=work[c0:c1, c1:])
+        np.abs(a[c1:, c0:c1], out=work[c1:, c0:c1])
         square = slice(c0, c1)
-        upper = _STRICT_UPPER[: c1 - c0, : c1 - c0]
-        np.copyto(work[square, square], np.abs(a[square, square].T), where=upper)
+        lower = _STRICT_LOWER[: c1 - c0, : c1 - c0]
+        np.copyto(work[square, square], np.abs(a[square, square]), where=lower)
     work.flat[:: m + 1] = -np.inf
     imax = work.argmax(axis=1)
     vmax = work[np.arange(m), imax]

@@ -50,7 +50,33 @@ def test_sketch_state_needs_positive_p():
         factor(a, p=0)
 
 
+@pytest.mark.parametrize("e", [-900, -600, -300, 0, 300, 600, 900])
+def test_sketch_pivot_is_scale_invariant(e):
+    # Sums of squares of 2**e * B overflow or underflow at |e| >= 600, where
+    # column_norms sums them again after a power-of-two rescaling; the norms
+    # are then 2**e times those of B, and the engine picks the same column.
+    a = random_symmetric(40, seed=4)
+    base = _Engine(a, FactorConfig(p=8, seed=1, robust_r=0))
+    scaled = _Engine(a, FactorConfig(p=8, seed=1, robust_r=0))
+    scaled.B = base.B * 2.0**e
+    assert np.array_equal(column_norms(scaled.B), column_norms(base.B) * 2.0**e)
+    assert scaled._sketch_pivot() == base._sketch_pivot()
+
+
 # -- downdates and recomputation ------------------------------------------
+
+
+def test_sketch_downdate_lands_in_any_layout():
+    # dgemm downdates a column-major sketch in place and returns a copy for
+    # any other layout; either way the downdate must reach B.
+    a = random_symmetric(40, seed=3)
+    cfg = FactorConfig(p=4, seed=2)
+    want = _Engine(a, cfg).run()
+    engine = _Engine(a, cfg)
+    engine.B = np.ascontiguousarray(engine.B)
+    got = engine.run()
+    assert np.array_equal(got.perm, want.perm)
+    assert np.array_equal(got.L, want.L)
 
 
 def test_update_sketch_known_value():

@@ -24,6 +24,10 @@ def test_pivot_digest_quick_grid():
     assert len(keys) == len(rows)
     # A change to the guard shows up in the same diff as a change of pivots.
     assert all("recompute_count" in r and "deficient_from" in r for r in rows)
+    # max |L| is blind to the order of L's rows; its digest and the
+    # reconstruction residual are not.
+    assert all(len(r["L"]) == 16 for r in rows)
+    assert all(0.0 <= r["residual"] <= 1e-10 for r in rows)
     # On the full-rank families, blocked and unblocked runs pick the same pivots.
     pivots = defaultdict(dict)
     for r in rows:

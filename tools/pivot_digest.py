@@ -8,13 +8,17 @@ Run from the repository root, once per tree, and compare the outputs:
     diff old.jsonl new.jsonl
 
 Each line is one JSON object per case: the family, n, seed and
-configuration, 16-hex-digit SHA-256 digests of ``perm``, ``pattern`` and
-``stats.counters``, ``max |L|`` (printed with ``repr``, so it compares
-bitwise), the guard's ``recompute_count`` and ``deficient_from``.  The grid
+configuration, 16-hex-digit SHA-256 digests of ``perm``, ``pattern``,
+``stats.counters`` and ``L`` (its values in row-major order, whatever its
+layout), ``max |L|`` (printed with ``repr``, so it compares bitwise), the
+reconstruction residual ``max |A[p][:, p] - L D L^T| / max |A|``, the
+guard's ``recompute_count`` and ``deficient_from``.  ``max |L|`` does not
+see the order of L's rows; the ``L`` digest and the residual do.  The grid
 is type2, type6 and type10 at n in {64, 300, 1024}, seeds 0-2, under the
-configurations named in ``CONFIGS``; ``--quick`` keeps n <= 300.  ``randldl`` is imported from ``--src`` (default: ``src/`` beside
-this directory).  Pin the BLAS thread count (``OPENBLAS_NUM_THREADS=1``) on
-both sides: a threaded GEMM may round differently.
+configurations named in ``CONFIGS``; ``--quick`` keeps n <= 300.
+``randldl`` is imported from ``--src`` (default: ``src/`` beside this
+directory).  Pin the BLAS thread count (``OPENBLAS_NUM_THREADS=1``) on both
+sides: a threaded GEMM may round differently.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
 
-    from randldl import MatrixSpec, factor, generate
+    from randldl import MatrixSpec, factor, generate, reconstruct
 
     sizes = [n for n in SIZES if not args.quick or n <= 300]
     for family in FAMILIES:
@@ -63,6 +67,7 @@ def main(argv: list[str] | None = None) -> int:
                 for name, overrides in CONFIGS.items():
                     f = factor(a, seed=seed, **overrides)
                     counters = json.dumps(dataclasses.asdict(f.stats.counters), sort_keys=True)
+                    residual = np.abs(a[np.ix_(f.perm, f.perm)] - reconstruct(f)).max()
                     row = {
                         "family": family,
                         "n": n,
@@ -71,7 +76,9 @@ def main(argv: list[str] | None = None) -> int:
                         "perm": digest(np.asarray(f.perm, dtype=np.int64).tobytes()),
                         "pattern": digest(np.asarray(f.pattern, dtype=np.int8).tobytes()),
                         "counters": digest(counters.encode()),
+                        "L": digest(np.ascontiguousarray(f.L).tobytes()),
                         "max_abs_L": repr(float(np.abs(f.L).max())),
+                        "residual": float(residual / np.abs(a).max()),
                         "recompute_count": f.stats.recompute_count,
                         "deficient_from": f.deficient_from,
                     }
