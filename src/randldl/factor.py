@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import block_diag, solve_triangular
 from scipy.linalg.blas import dgemm
 
 from .core import (
@@ -248,12 +248,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class BlockDiag:
     """Block diagonal factor: an ordered tuple of (1,1) and (2,2) arrays.
 
-    The blocks are copied into one read-only buffer at construction, and the
-    arrays that the solve and ``max_abs`` read are derived from it once:
-    ``starts1`` and ``d1`` (start index and value of each 1x1 block), and
-    ``starts2``, ``d11``, ``d21``, ``d22`` and ``det = d11*d22 - d21*d21``
-    for the 2x2 blocks, which must be symmetric.  All of them are read-only,
-    so they cannot fall out of step with the blocks.
+    The blocks, 2x2 ones symmetric, are copied into one read-only buffer, and
+    the read-only arrays the solve reads are derived from it once: ``den``,
+    each row's nonzero 1x1 pivot (else 1); ``pair_rows``, the first row of
+    each nonsingular 2x2 block, and ``pair``, its d11, d21, d22 and
+    ``det = d11*d22 - d21*d21``; ``zero_rows``, the rows of singular blocks;
+    and ``starts2``, the first row of every 2x2 block.
     """
 
     def __init__(self, blocks) -> None:
@@ -262,6 +262,7 @@ class BlockDiag:
             raise ValueError("diagonal blocks must be 1x1 or 2x2")
         sizes = np.array([b.shape[0] for b in arrays], dtype=np.int64)
         flat = _frozen(np.concatenate([b.ravel() for b in arrays]) if arrays else np.zeros(0))
+        self._flat = flat  # max_abs reads it; d12 == d21 adds no new value
         offs = np.cumsum(sizes * sizes) - sizes * sizes  # where each block starts in flat
         self.blocks = tuple(
             flat[o : o + s * s].reshape(s, s) for s, o in zip(sizes.tolist(), offs.tolist())
@@ -272,27 +273,23 @@ class BlockDiag:
         o2 = offs[~one]  # a 2x2 block is stored as d11, d12, d21, d22
         if not np.array_equal(flat[o2 + 1], flat[o2 + 2]):
             raise ValueError("2x2 diagonal blocks must be symmetric")
-        self.starts1 = _frozen(starts[one])
-        self.d1 = _frozen(flat[offs[one]])
-        self.starts2 = _frozen(starts[~one])
-        self.d11 = _frozen(flat[o2])
-        self.d21 = _frozen(flat[o2 + 2])
-        self.d22 = _frozen(flat[o2 + 3])
-        self.det = _frozen(self.d11 * self.d22 - self.d21 * self.d21)
+        d1, starts1, starts2 = flat[offs[one]], starts[one], starts[~one]
+        d11, d21, d22 = flat[o2], flat[o2 + 2], flat[o2 + 3]
+        det = d11 * d22 - d21 * d21
+        ok1, ok2 = d1 != 0.0, det != 0.0
+        den = np.ones(self.dim)
+        den[starts1[ok1]] = d1[ok1]
+        self.den = _frozen(den)
+        self.pair_rows = _frozen(starts2[ok2])
+        self.pair = _frozen(np.stack((d11, d21, d22, det))[:, ok2])
+        self.zero_rows = _frozen(np.concatenate((starts1[~ok1], starts2[~ok2], starts2[~ok2] + 1)))
+        self.starts2 = _frozen(starts2)
 
     def to_dense(self) -> np.ndarray:
-        n = self.dim
-        d = np.zeros((n, n))
-        i = 0
-        for blk in self.blocks:
-            s = blk.shape[0]
-            d[i : i + s, i : i + s] = blk
-            i += s
-        return d
+        return block_diag(*self.blocks) if self.blocks else np.zeros((0, 0))
 
     def max_abs(self) -> float:
-        entries = np.concatenate((self.d1, self.d11, self.d21, self.d22))
-        return float(np.abs(entries).max(initial=0.0))
+        return float(np.abs(self._flat).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Solves against a computed block LDL^T factorization.
+"""Solves against a computed block LDL^T factorization, as LAPACK ``dsytrs`` does.
 
-The pipeline is: permute the right-hand side, forward-substitute through the
-unit lower triangle, solve the block diagonal (1x1 and 2x2 blocks, the 2x2
-case by explicit adjugate), back-substitute through the transpose, and
-un-permute.  Exactly-zero 1x1 blocks and exactly-singular 2x2 blocks set the
+Permute the right-hand side, forward-substitute through the unit lower
+triangle by BLAS ``dtrsv`` (one right-hand side) or ``dtrsm`` (many), solve
+the block diagonal, back-substitute through the transpose, and un-permute.
+The block-diagonal solve divides every row by a cached 1x1 pivot, then
+rewrites the rows of 2x2 blocks by the explicit adjugate through cached row
+indices.  Exactly-zero 1x1 blocks and exactly-singular 2x2 blocks set the
 ``singular`` flag and zero the corresponding solution components; no epsilon
 test is applied to merely ill-conditioned blocks (a rank-revealing
 factorization has already zeroed negligible trailing blocks).
@@ -12,7 +14,7 @@ The factorization is checked once, when it is built: ``L`` must be finite
 and ``perm`` a permutation, both are then read-only, and ``D`` is frozen
 with its block arrays derived.  Each solve therefore checks only its
 right-hand side (a NaN or Inf raises ``ValueError``) and runs the two
-triangular solves unchecked, as LAPACK ``dsytrs`` does.
+triangular solves unchecked, in arrays it made itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm, dtrsv
 
 from .factor import BlockDiag, Factorization
 from .metrics import backward_error
@@ -40,36 +42,43 @@ class SolveReport:
 def block_diag_solve(d: BlockDiag, z: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve ``D w = z`` blockwise; ``z`` may be a vector or a matrix of columns.
 
-    Returns ``(w, singular)``.  Singular blocks (exact zeros only) contribute
-    zero components instead of raising.  All blocks of one size are solved
-    together from the arrays ``d`` derived at construction.
+    Returns ``(w, singular)``, with ``w`` a new array.  Every row is divided
+    by its cached 1x1 pivot (1 on the other rows); the rows of nonsingular
+    2x2 blocks are then overwritten by the adjugate formulas, and the rows
+    of singular blocks (exact zeros only) are zeroed instead of raising.
     """
-    w = np.array(z, dtype=np.float64, copy=True)
-    if d.dim != w.shape[0]:
-        raise ValueError(f"block diagonal covers {d.dim} rows, expected {w.shape[0]}")
-    rows = w[:, None] if w.ndim == 1 else w  # a view: one column per right-hand side
-    ok1 = d.d1 != 0.0
-    i = d.starts1[ok1]
-    rows[i] /= d.d1[ok1, None]
-    ok2 = d.det != 0.0
-    i = d.starts2[ok2]
-    d11, d21, d22, det = (x[ok2, None] for x in (d.d11, d.d21, d.d22, d.det))
-    z1, z2 = rows[i], rows[i + 1]
-    rows[i] = (d22 * z1 - d21 * z2) / det
-    rows[i + 1] = (d11 * z2 - d21 * z1) / det
-    s2 = d.starts2[~ok2]
-    zero = np.concatenate((d.starts1[~ok1], s2, s2 + 1))
-    rows[zero] = 0.0
-    return w, bool(zero.size)
+    z = np.asarray(z, dtype=np.float64)
+    if d.dim != z.shape[0]:
+        raise ValueError(f"block diagonal covers {d.dim} rows, expected {z.shape[0]}")
+    vector = z.ndim == 1
+    w = z / (d.den if vector else d.den[:, None])
+    i = d.pair_rows
+    if i.size:
+        d11, d21, d22, det = d.pair if vector else d.pair[:, :, None]
+        z1, z2 = w[i], w[i + 1]  # z itself: a 2x2 block's rows have den = 1
+        w[i] = (d22 * z1 - d21 * z2) / det
+        w[i + 1] = (d11 * z2 - d21 * z1) / det
+    if d.zero_rows.size:
+        w[d.zero_rows] = 0.0
+    return w, bool(d.zero_rows.size)
+
+
+def solve_triangular(l: np.ndarray, y: np.ndarray, trans: int) -> np.ndarray:
+    """``l^-1 y`` (``trans=0``) or ``l^-T y`` (``trans=1``) for unit lower ``l``.
+
+    Overwrites ``y`` where BLAS can, so ``y`` must never be the caller's array.
+    """
+    if y.ndim == 1:
+        return dtrsv(l, y, lower=1, trans=trans, diag=1, overwrite_x=1)
+    return dtrsm(1.0, l, y, lower=1, trans_a=trans, diag=1, overwrite_b=1)
 
 
 def _substitute(f: Factorization, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     if not np.isfinite(rhs).all():
         raise ValueError("right-hand side contains NaN or Inf")
-    y = rhs[f.perm]
-    z = solve_triangular(f.L, y, lower=True, unit_diagonal=True, check_finite=False)
+    z = solve_triangular(f.L, rhs[f.perm], 0)  # the gather is a new array
     w, singular = block_diag_solve(f.D, z)
-    v = solve_triangular(f.L, w, lower=True, unit_diagonal=True, trans="T", check_finite=False)
+    v = solve_triangular(f.L, w, 1)
     x = np.empty_like(v)
     x[f.perm] = v
     return x, singular

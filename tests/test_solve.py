@@ -167,6 +167,48 @@ def test_solve_many_columns_match_single_solves():
         assert np.allclose(many[:, j], solve(f, rhs[:, j]).x, rtol=1e-13, atol=0.0)
 
 
+def _right_hand_sides(n: int) -> dict[str, np.ndarray]:
+    c = np.random.Generator(np.random.Philox(8)).standard_normal((n, 5))
+    c[0, 1] = -0.0
+    read_only = c.copy()
+    read_only.flags.writeable = False
+    return {
+        "C": c,
+        "F": np.asfortranarray(c),
+        "column": c[:, 2],
+        "strided": c[:, ::2],
+        "read-only": read_only,
+        "integer": np.arange(n * 3).reshape(n, 3) - 7,
+        "no columns": np.zeros((n, 0)),
+    }
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("n", [1, 12])
+def test_solves_leave_the_callers_right_hand_side_unchanged(strategy, n):
+    # The BLAS solves overwrite the arrays the solve made; whatever the
+    # caller's layout, dtype or writeability, its own array must not be one.
+    a = random_symmetric(n, seed=4)
+    f = factor(a, strategy=strategy)
+    for name, b in _right_hand_sides(n).items():
+        before = b.copy()
+        # A vector is also solved as a one-column matrix viewing its data.
+        mats = [b[:, None]] if b.ndim == 1 else [b]
+        vecs = [b] if b.ndim == 1 else [b[:, j] for j in range(b.shape[1])]
+        for rhs in mats:
+            want = np.linalg.solve(a, rhs.astype(np.float64))
+            got = solve_many(f, rhs)
+            assert got.shape == rhs.shape, name
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-12), name
+            assert got.tobytes() == solve_many(f, np.array(rhs, dtype=np.float64)).tobytes(), name
+        for rhs in vecs:
+            want = np.linalg.solve(a, rhs.astype(np.float64))
+            got = solve(f, rhs).x
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-12), name
+            assert got.tobytes() == solve(f, np.array(rhs, dtype=np.float64)).x.tobytes(), name
+        assert b.dtype == before.dtype and b.tobytes() == before.tobytes(), name
+
+
 def test_deficient_solve_flags_singular_and_stays_consistent():
     a = np.zeros((65, 65))
     a[:40, :40] = random_symmetric(40, seed=5)
@@ -256,7 +298,8 @@ def test_factorization_is_frozen(strategy):
     # The solve trusts the check made when the factorization was built, so
     # neither L, D, perm nor pattern may change afterwards.
     f = factor(random_symmetric(12, seed=3), strategy=strategy)
-    arrays = [f.L, *f.D.blocks, f.D.d1, f.D.d11, f.D.d21, f.D.d22, f.D.det, f.perm, f.pattern]
+    d = f.D
+    arrays = [f.L, *d.blocks, d.den, d.pair_rows, d.pair, d.zero_rows, d.starts2, f.perm, f.pattern]
     assert not any(x.flags.writeable for x in arrays)
     with pytest.raises(ValueError, match="read-only"):
         f.L[1, 0] = np.nan

@@ -24,6 +24,9 @@ def test_pivot_digest_quick_grid():
     assert len(keys) == len(rows)
     # A change to the guard shows up in the same diff as a change of pivots.
     assert all("recompute_count" in r and "deficient_from" in r for r in rows)
+    # So does a change to the solutions, bit for bit.
+    assert all(len(r["x"]) == len(r["x_many"]) == 16 for r in rows)
+    assert all(isinstance(r["singular"], bool) for r in rows)
     # max |L| is blind to the order of L's rows; its digest and the
     # reconstruction residual are not.
     assert all(len(r["L"]) == 16 for r in rows)

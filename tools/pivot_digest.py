@@ -12,7 +12,10 @@ configuration, 16-hex-digit SHA-256 digests of ``perm``, ``pattern``,
 ``stats.counters`` and ``L`` (its values in row-major order, whatever its
 layout), ``max |L|`` (printed with ``repr``, so it compares bitwise), the
 reconstruction residual ``max |A[p][:, p] - L D L^T| / max |A|``, the
-guard's ``recompute_count`` and ``deficient_from``.  ``max |L|`` does not
+guard's ``recompute_count`` and ``deficient_from``, digests of
+``solve(f, b).x`` and of a 3-column ``solve_many``, and ``solve``'s
+``singular`` flag.  The right-hand sides are drawn from Philox(seed) with
+a first row of -0.0, which a digest tells from 0.0.  ``max |L|`` does not
 see the order of L's rows; the ``L`` digest and the residual do.  The grid
 is type2, type6 and type10 at n in {64, 300, 1024}, seeds 0-2, under the
 configurations named in ``CONFIGS``; ``--quick`` keeps n <= 300.
@@ -57,17 +60,20 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
 
-    from randldl import MatrixSpec, factor, generate, reconstruct
+    from randldl import MatrixSpec, factor, generate, reconstruct, solve, solve_many
 
     sizes = [n for n in SIZES if not args.quick or n <= 300]
     for family in FAMILIES:
         for n in sizes:
             for seed in SEEDS:
                 a = generate(MatrixSpec(family=family, n=n, seed=seed))
+                rhs = np.random.Generator(np.random.Philox(seed)).standard_normal((n, 4))
+                rhs[0] = -0.0
                 for name, overrides in CONFIGS.items():
                     f = factor(a, seed=seed, **overrides)
                     counters = json.dumps(dataclasses.asdict(f.stats.counters), sort_keys=True)
                     residual = np.abs(a[np.ix_(f.perm, f.perm)] - reconstruct(f)).max()
+                    report = solve(f, rhs[:, 0])
                     row = {
                         "family": family,
                         "n": n,
@@ -81,6 +87,9 @@ def main(argv: list[str] | None = None) -> int:
                         "residual": float(residual / np.abs(a).max()),
                         "recompute_count": f.stats.recompute_count,
                         "deficient_from": f.deficient_from,
+                        "x": digest(report.x.tobytes()),
+                        "x_many": digest(np.ascontiguousarray(solve_many(f, rhs[:, 1:])).tobytes()),
+                        "singular": report.singular,
                     }
                     print(json.dumps(row), flush=True)
     return 0
