@@ -17,13 +17,22 @@ Conventions used throughout the package:
 * A permutation is a 1-D integer ndarray ``perm`` of length n containing
   each index exactly once.  Applied symmetrically it relabels the matrix as
   ``A[perm][:, perm]``.
+* Every level-3 product of the factorization runs on SciPy's BLAS.  The
+  large ones (the trailing update and the sketch projections) go through
+  ``gemm``, which calls ``dgemm`` on column-major views in place, through
+  their leading dimensions, as LAPACK ``dlasyf`` updates its trailing
+  block.  NumPy and SciPy each load their own OpenBLAS with its own thread
+  pool; large products on both make one pool's idle workers spin while
+  the other's run.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
+from scipy.linalg import cython_blas
 
 __all__ = [
     "require_square",
@@ -180,3 +189,77 @@ def _sums_of_squares(block: np.ndarray) -> np.ndarray:
     sq = np.ascontiguousarray(block)
     return np.einsum("ij,ij->j", sq, sq)
 
+
+# SciPy's BLAS dgemm, through the function pointer cython_blas exports.  The
+# capsule and function prototypes are built here rather than taken from
+# ctypes.pythonapi, whose shared prototypes other code may have set.
+_capsule = cython_blas.__pyx_capi__["dgemm"]
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+_INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_dgemm = ctypes.CFUNCTYPE(
+    None,
+    ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _INT,  # transa, transb, m, n, k
+    _DOUBLE, ctypes.c_void_p, _INT, ctypes.c_void_p, _INT,  # alpha, a, lda, b, ldb
+    _DOUBLE, ctypes.c_void_p, _INT,  # beta, c, ldc
+)(_capsule_pointer(_capsule, _capsule_name(_capsule)))
+del _capsule
+
+# cython_blas is LP64: every dimension it takes is a C int.
+_INT_MAX = 2**31 - 1
+
+
+def _leading_dim(x: np.ndarray, name: str) -> int:
+    """Leading dimension of ``x`` as a column-major matrix; ``ValueError`` if it is not one."""
+    if not isinstance(x, np.ndarray) or x.ndim != 2 or x.dtype != np.float64:
+        raise ValueError(f"gemm: {name} must be a 2-D float64 ndarray")
+    rows, cols = x.shape
+    ld = x.strides[1] // 8 if cols > 1 else rows
+    if (rows > 1 and x.strides[0] != 8) or (cols > 1 and (x.strides[1] % 8 or ld < rows)):
+        raise ValueError(f"gemm: {name} is not a column-major view (strides {x.strides})")
+    if max(rows, cols, ld) > _INT_MAX:
+        raise ValueError(f"gemm: {name} has a dimension beyond a C int")
+    return max(ld, 1)
+
+
+def gemm(
+    alpha: float,
+    a: np.ndarray,
+    b: np.ndarray,
+    beta: float,
+    c: np.ndarray,
+    trans_a: bool = False,
+    trans_b: bool = False,
+) -> None:
+    """``c = alpha * op(a) @ op(b) + beta * c`` in place, by BLAS ``dgemm``.
+
+    ``op(x)`` is ``x.T`` if its ``trans_`` flag is set, else ``x``.  Every
+    operand is a float64 column-major view: unit row stride and a column
+    stride of at least its row count, handed to BLAS as the leading
+    dimension, so ``c`` may be a block of a larger, padded array.  Any other
+    operand, a read-only ``c``, a ``c`` that may overlap an input, or shapes
+    that do not conform raise ``ValueError`` before a pointer reaches BLAS.
+    With ``beta = 0`` the old values of ``c`` are not read.
+    """
+    lda, ldb, ldc = _leading_dim(a, "a"), _leading_dim(b, "b"), _leading_dim(c, "c")
+    m, k = a.shape[::-1] if trans_a else a.shape
+    kb, n = b.shape[::-1] if trans_b else b.shape
+    if kb != k or c.shape != (m, n):
+        raise ValueError(f"gemm: shapes {a.shape}, {b.shape} and {c.shape} do not conform")
+    if not c.flags.writeable:
+        raise ValueError("gemm: c is read-only")
+    if np.may_share_memory(c, a) or np.may_share_memory(c, b):
+        raise ValueError("gemm: c may overlap an input")
+    if m == 0 or n == 0:
+        return
+    i, f = ctypes.c_int, ctypes.c_double
+    _dgemm(
+        b"T" if trans_a else b"N", b"T" if trans_b else b"N",
+        i(m), i(n), i(k),
+        f(alpha), a.ctypes.data, i(lda), b.ctypes.data, i(ldb),
+        f(beta), c.ctypes.data, i(ldc),
+    )

@@ -44,14 +44,17 @@ the row segment left of the diagonal plus the column segment from the
 diagonal down; swaps touch the active block's lower triangle only, as
 ``dsyswapr`` does; and each strip of the trailing update covers its columns
 from the diagonal down, so a panel of t columns costs about ``t m^2 / 2``
-multiplies on an m x m block rather than ``t m^2``.  Each strip is formed
-as ``(W L^T)^T``, whose temporary has the layout of ``A``.  The strip
-products also update the upper half of each diagonal strip square, whose
-values are never used: no result depends on the strict upper triangle.  The
-rare paths that need the whole block (the guard's fresh projection, full
-growth tracking and the sketch audit) mirror a copy of it on demand, at the
-configured ``b`` and ``q``: a growth snapshot inside a panel subtracts the
-panel's pending update.
+multiplies on an m x m block rather than ``t m^2``.  Each strip is one
+BLAS ``dgemm`` (``core.gemm``, alpha = -1, beta = 1) that writes its
+columns of ``A`` in place through the padded leading dimension, as
+``dlasyf`` updates its trailing block; the sketch projections run through
+the same call, so every large product runs on one BLAS thread pool.  The
+strip products also update the upper half of each diagonal strip square,
+whose values are never used: no result depends on the strict upper
+triangle.  The rare paths that need the whole block (the guard's fresh
+projection, full growth tracking and the sketch audit) mirror a copy of it
+on demand, at the configured ``b`` and ``q``: a growth snapshot inside a
+panel subtracts the panel's pending update.
 
 A swap exchanges the rows of ``L`` only over the open block: the columns
 from the first one not yet closed up to k, the current panel among them.
@@ -98,6 +101,7 @@ from scipy.linalg.blas import dgemm
 from .core import (
     column_norms,
     exchange,
+    gemm,
     identity_permutation,
     mirror_lower,
     require_finite,
@@ -146,8 +150,9 @@ _EPS = float(np.finfo(np.float64).eps)
 
 # Column-strip width of the trailing update.  Each strip also computes the
 # upper half of its diagonal square, so narrower strips waste fewer flops,
-# but each one is a separate GEMM call.  Widths 128-256 ran fastest for
-# m = 512-2048, t = 64 on one OpenBLAS thread of a 2-core x86-64 host.
+# but each one is a separate dgemm call.  With the strips written in place,
+# widths 128-256 tied within noise at n = 2048 and 128 ran fastest at
+# n = 1024 (t = 64, one OpenBLAS thread of a 2-core x86-64 host).
 _STRIP = 128
 
 # Rook hops that form their column before a walk switches to the off-diagonal
@@ -437,7 +442,7 @@ class _Engine:
         if self.strategy is Strategy.RCP:
             self.rng = np.random.Generator(np.random.Philox(cfg.seed))
             self.omega = self.rng.standard_normal((cfg.p, n))
-            self.B = np.asfortranarray(self.omega @ self.A)
+            self.B = self._project(self.omega, self.A)
             if not cfg.audit_sketch:
                 self.omega = None
 
@@ -531,11 +536,13 @@ class _Engine:
         if t == 0 or m == 0:
             return
         panel = slice(k0, k0 + t)
-        # A 1-column strip would go to gemv, which rounds differently from
-        # gemm; the last strip absorbs a 1-column remainder.
+        # Each strip is one dgemm into A, in place.  OpenBLAS may hand a
+        # 1-column dgemm to gemv, which rounds differently, so the last
+        # strip absorbs a 1-column remainder.
         cuts = (list(range(k, n - 1, _STRIP)) or [k]) + [n]
         for c0, c1 in zip(cuts, cuts[1:]):
-            self.A[c0:, c0:c1] -= (self.W[c0 - k0 : c1 - k0, :t] @ self.L[c0:, panel].T).T
+            w = self.W[c0 - k0 : c1 - k0, :t]
+            gemm(-1.0, self.L[c0:, panel], w, 1.0, self.A[c0:, c0:c1], trans_b=True)
         self._charge(t * (m * (m + 1)) // 2)
 
     def _gather_closed_blocks(self) -> None:
@@ -553,7 +560,19 @@ class _Engine:
             self.pattern[j] = PAT_DEFICIENT
         self.terminated = True
 
-    # -- guarded mode ----------------------------------------------------
+    # -- sketch projection and guarded mode ------------------------------
+
+    @staticmethod
+    def _project(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """``omega @ a`` as a new column-major array, for a column-major ``a``.
+
+        It is formed as ``(a.T @ omega.T).T``, the call NumPy's ``omega @ a``
+        makes: OpenBLAS runs that tall product faster than the wide one (4.7
+        against 6.1 ms at n = 2048, p = 5).
+        """
+        out_t = np.empty((a.shape[1], omega.shape[0]), order="F")
+        gemm(1.0, a, omega.T, 0.0, out_t, trans_a=True)
+        return np.asfortranarray(out_t.T)
 
     def _sketch_pivot(self) -> tuple[str, int]:
         """Position of the largest sketch column norm behind the guard, with a status.
@@ -575,7 +594,7 @@ class _Engine:
         if self.t:
             return "defer", k
         omega = self.rng.standard_normal((self.p, m))
-        self.B[:, k:] = omega @ self._active_block()
+        self.B[:, k:] = self._project(omega, self._active_block())
         if self.omega is not None:
             self.omega[:, k:] = omega
         self.recompute_count += 1
@@ -668,19 +687,25 @@ class _Engine:
                 self.counters.mults += 4 * w + 2
                 self.counters.adds += 2 * w + 1
         if self.B is not None and self.cfg.q == 1 and w > 0:
-            # dgemm downdates the tail in place when it is F-contiguous, as B
-            # is built; any other layout gets a copy back.
-            pivots, tail = self.B[:, k : k + s], self.B[:, k + s :]
-            out = dgemm(-1.0, pivots, lcols, 1.0, tail, trans_b=True, overwrite_c=True)
-            if out is not tail:
-                tail[...] = out
+            self._downdate_sketch(k + s, self.B[:, k : k + s], lcols, trans_y=True)
             self._charge(s * self.p * w)
+
+    def _downdate_sketch(self, k: int, x: np.ndarray, y: np.ndarray, trans_y: bool) -> None:
+        """``B[:, k:] -= x @ y``, or ``x @ y.T`` if ``trans_y``, by BLAS ``dgemm``.
+
+        dgemm writes the tail in place when it is F-contiguous, as B is
+        built; any other layout gets a copy back.
+        """
+        tail = self.B[:, k:]
+        out = dgemm(-1.0, x, y, 1.0, tail, trans_b=trans_y, overwrite_c=True)
+        if out is not tail:
+            tail[...] = out
 
     # -- diagnostics -----------------------------------------------------
 
     def _active_block(self) -> np.ndarray:
         """Full symmetric copy of the active block, mirrored from its lower triangle."""
-        return mirror_lower(self.A[self.k :, self.k :].copy())
+        return mirror_lower(self.A[self.k :, self.k :].copy(order="F"))
 
     def _snapshot(self) -> None:
         """Record the norms of step k's Schur complement, once per step.
@@ -703,7 +728,7 @@ class _Engine:
         k = self.k
         if k >= self.n:
             return
-        exact = self.omega[:, k:] @ self._active_block()
+        exact = self._project(self.omega[:, k:], self._active_block())
         err = norm_1_2(self.B[:, k:] - exact)
         denom = self.input_norm_12
         self.drift.append(err / denom if denom else err)
@@ -714,8 +739,11 @@ class _Engine:
         n = self.n
         if self.robust_armed and self.beta == 0.0:
             self._terminate_deficient()
-        while self.k < n and not self.terminated:
-            self._run_panel()
+        # Every non-finite pivot, multiplier or entry of L raises NumericalError
+        # by step, so NumPy's warnings on the way there would only precede it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while self.k < n and not self.terminated:
+                self._run_panel()
         d = BlockDiag(self.blocks)
         dmax = d.max_abs()
         if self.input_norm_1inf == 0.0:
@@ -767,7 +795,7 @@ class _Engine:
             z = solve_triangular(
                 self.L[k0:k, k0:k], ltp.T, lower=True, unit_diagonal=True, trans="T"
             )
-            self.B[:, k:] -= self.B[:, k0:k] @ z
+            self._downdate_sketch(k, self.B[:, k0:k], z, trans_y=False)
             w = n - k
             self._charge(t * self.p * w + (t * (t - 1) // 2) * w)
         if self.drift is not None and t > 0:

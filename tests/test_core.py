@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from randldl import factor
 from randldl.core import (
     column_norms,
+    gemm,
     identity_permutation,
     is_exactly_symmetric,
     mirror_lower,
@@ -188,6 +189,85 @@ def test_column_norms_validation():
 def test_column_norms_matches_reference(m):
     expect = np.linalg.norm(m, axis=0)
     assert np.allclose(column_norms(m), expect, rtol=1e-12, atol=1e-300)
+
+
+# -- BLAS dgemm on column-major views -------------------------------------
+
+
+def _ints(rng, shape, order="F"):
+    # Small integers: every product and partial sum is exact, so any
+    # summation order gives the same bits.
+    return np.asarray(rng.integers(-8, 9, size=shape), dtype=np.float64, order=order)
+
+
+@pytest.mark.parametrize("t", [1, 2, 7, 64])
+@pytest.mark.parametrize("w", [1, 2, 128])
+def test_gemm_updates_a_padded_strip_in_place(t, w):
+    # The trailing update's shape: C, a strip of the padded working copy
+    # (leading dimension n + 8), minus L's panel rows times W's strip rows.
+    rng = np.random.default_rng(100 * t + w)
+    n, r0, c0 = w + 45, 5, 3
+    padded = _ints(rng, (n, n + 8), order="C")  # column-major n x n, padded
+    work = padded.T[:n]
+    l_buf, w_buf = _ints(rng, (n, t + 4)), _ints(rng, (w + 3, t + 2))
+    a, b = l_buf[r0:, 2 : 2 + t], w_buf[1 : 1 + w, :t]
+    c = work[r0:, c0 : c0 + w]
+    want = c - a @ b.T
+    before = padded.copy()
+    gemm(-1.0, a, b, 1.0, c, trans_b=True)
+    assert np.array_equal(c, want)
+    outside = np.ones(padded.shape, dtype=bool)
+    outside.T[r0:n, c0 : c0 + w] = False  # C's entries; the pad rows stay in
+    assert np.array_equal(padded[outside], before[outside])
+
+
+def test_gemm_projects_with_beta_zero():
+    # The sketch projection's call, (omega @ a).T = a.T @ omega.T with a C-
+    # ordered omega read through its transpose, into a C whose old values,
+    # NaN here, are not read.
+    rng = np.random.default_rng(7)
+    omega, a = _ints(rng, (3, 20), order="C"), _ints(rng, (20, 20))
+    out_t = np.full((20, 3), np.nan, order="F")
+    gemm(1.0, a, omega.T, 0.0, out_t, trans_a=True)
+    assert np.array_equal(out_t.T, omega @ a)
+
+
+def _bad_operands():
+    def f(*shape):
+        return np.zeros(shape, order="F")
+
+    big = f(40, 40)
+    read_only = f(6, 4)
+    read_only.flags.writeable = False
+    huge = f(0, 2**31)  # no entries, so no memory, but k does not fit a C int
+    return {
+        "list": ([[1.0]], f(1, 1), f(1, 1), "2-D float64"),
+        "one-dimensional": (np.zeros(6), f(4, 1), f(6, 4), "2-D float64"),
+        "float32": (f(6, 3).astype(np.float32), f(4, 3), f(6, 4), "float64"),
+        "C-ordered a": (np.zeros((6, 3)), f(4, 3), f(6, 4), "column-major"),
+        "row stride 2": (f(6, 3), f(4, 3), big[:12:2, :4], "column-major"),
+        "column stride below rows": (
+            np.broadcast_to(np.zeros((6, 1)), (6, 3)), f(4, 3), f(6, 4), "column-major"
+        ),
+        "column stride not whole entries": (
+            np.lib.stride_tricks.as_strided(big, shape=(6, 3), strides=(8, 68)),
+            f(4, 3), f(6, 4), "column-major",
+        ),
+        "dimension beyond a C int": (huge, huge, f(0, 0), "C int"),
+        "inner dimensions differ": (f(6, 3), f(4, 4), f(6, 4), "conform"),
+        "c too wide": (f(6, 3), f(4, 3), f(6, 5), "conform"),
+        "read-only c": (f(6, 3), f(4, 3), read_only, "read-only"),
+        "c overlaps a": (big[:6, :3], f(4, 3), big[10:16, :4], "overlap"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_operands()))
+def test_gemm_rejects_bad_operands(case):
+    a, b, c, message = _bad_operands()[case]
+    before = c.copy()
+    with pytest.raises(ValueError, match=message):
+        gemm(-1.0, a, b, 1.0, c, trans_b=True)
+    assert np.array_equal(c, before)
 
 
 # -- Schur updates -------------------------------------------------------

@@ -360,6 +360,17 @@ def test_power_of_two_scaling_changes_only_d(family, n, matrix_seed, config, e):
         assert np.array_equal(got, c * want)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strategy", ["rcp", "bbk"])
+@pytest.mark.parametrize("e", [700, 1000])
+def test_overflow_raises_numerical_error_without_warnings(strategy, e):
+    # At these scales the pivot data overflows; the engine's own error names
+    # the step, and no NumPy overflow warning reaches the caller before it.
+    a = generate(MatrixSpec("type6", 200, seed=0))
+    with pytest.raises(NumericalError, match="non-finite"):
+        factor(2.0**e * a, strategy=strategy)
+
+
 # -- long rook walks -------------------------------------------------------
 
 

@@ -18,8 +18,8 @@ def test_pivot_digest_quick_grid():
     )
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
-    # 3 families x 2 sizes x 3 seeds x 8 configurations, each printed once.
-    assert len(rows) == 144
+    # 4 families x 2 sizes x 3 seeds x 8 configurations, each printed once.
+    assert len(rows) == 192
     keys = {(r["family"], r["n"], r["seed"], r["config"]) for r in rows}
     assert len(keys) == len(rows)
     # A change to the guard shows up in the same diff as a change of pivots.
@@ -27,9 +27,13 @@ def test_pivot_digest_quick_grid():
     # So does a change to the solutions, bit for bit.
     assert all(len(r["x"]) == len(r["x_many"]) == 16 for r in rows)
     assert all(isinstance(r["singular"], bool) for r in rows)
+    # The zero-bordered family is exactly singular, and solve says so.
+    for r in rows:
+        if r["family"] != "type10":
+            assert r["singular"] is (r["family"] == "type6-padded"), r
     # max |L| is blind to the order of L's rows; its digest and the
-    # reconstruction residual are not.
-    assert all(len(r["L"]) == 16 for r in rows)
+    # reconstruction residual are not.  D has a digest of its own.
+    assert all(len(r["L"]) == len(r["D"]) == 16 for r in rows)
     assert all(0.0 <= r["residual"] <= 1e-10 for r in rows)
     # On the full-rank families, blocked and unblocked runs pick the same pivots.
     pivots = defaultdict(dict)

@@ -9,16 +9,18 @@ Run from the repository root, once per tree, and compare the outputs:
 
 Each line is one JSON object per case: the family, n, seed and
 configuration, 16-hex-digit SHA-256 digests of ``perm``, ``pattern``,
-``stats.counters`` and ``L`` (its values in row-major order, whatever its
-layout), ``max |L|`` (printed with ``repr``, so it compares bitwise), the
-reconstruction residual ``max |A[p][:, p] - L D L^T| / max |A|``, the
-guard's ``recompute_count`` and ``deficient_from``, digests of
-``solve(f, b).x`` and of a 3-column ``solve_many``, and ``solve``'s
-``singular`` flag.  The right-hand sides are drawn from Philox(seed) with
-a first row of -0.0, which a digest tells from 0.0.  ``max |L|`` does not
-see the order of L's rows; the ``L`` digest and the residual do.  The grid
-is type2, type6 and type10 at n in {64, 300, 1024}, seeds 0-2, under the
-configurations named in ``CONFIGS``; ``--quick`` keeps n <= 300.
+``stats.counters``, ``L`` (its values in row-major order, whatever its
+layout) and ``D`` (its blocks' entries in order), ``max |L|`` (printed
+with ``repr``, so it compares bitwise), the reconstruction residual
+``max |A[p][:, p] - L D L^T| / max |A|``, the guard's ``recompute_count``
+and ``deficient_from``, digests of ``solve(f, b).x`` and of a 3-column
+``solve_many``, and ``solve``'s ``singular`` flag.  The right-hand sides
+are drawn from Philox(seed) with a first row of -0.0, which a digest tells
+from 0.0.  ``max |L|`` does not see the order of L's rows; the ``L``
+digest and the residual do.  The grid is type2, type6, type10 and
+``type6-padded`` (type6 of order n - 3 bordered by 3 zero rows and
+columns, so exactly singular) at n in {64, 300, 1024}, seeds 0-2, under
+the configurations named in ``CONFIGS``; ``--quick`` keeps n <= 300.
 ``randldl`` is imported from ``--src`` (default: ``src/`` beside this
 directory).  Pin the BLAS thread count (``OPENBLAS_NUM_THREADS=1``) on both
 sides: a threaded GEMM may round differently.
@@ -33,7 +35,8 @@ import json
 import sys
 from pathlib import Path
 
-FAMILIES = ("type2", "type6", "type10")
+PADDED, ZERO_ROWS = "type6-padded", 3
+FAMILIES = ("type2", "type6", "type10", PADDED)
 SIZES = (64, 300, 1024)
 SEEDS = (0, 1, 2)
 CONFIGS = {
@@ -66,7 +69,12 @@ def main(argv: list[str] | None = None) -> int:
     for family in FAMILIES:
         for n in sizes:
             for seed in SEEDS:
-                a = generate(MatrixSpec(family=family, n=n, seed=seed))
+                if family == PADDED:
+                    a = np.zeros((n, n))
+                    m = n - ZERO_ROWS
+                    a[:m, :m] = generate(MatrixSpec(family="type6", n=m, seed=seed))
+                else:
+                    a = generate(MatrixSpec(family=family, n=n, seed=seed))
                 rhs = np.random.Generator(np.random.Philox(seed)).standard_normal((n, 4))
                 rhs[0] = -0.0
                 for name, overrides in CONFIGS.items():
@@ -83,6 +91,7 @@ def main(argv: list[str] | None = None) -> int:
                         "pattern": digest(np.asarray(f.pattern, dtype=np.int8).tobytes()),
                         "counters": digest(counters.encode()),
                         "L": digest(np.ascontiguousarray(f.L).tobytes()),
+                        "D": digest(np.concatenate([d.ravel() for d in f.D.blocks]).tobytes()),
                         "max_abs_L": repr(float(np.abs(f.L).max())),
                         "residual": float(residual / np.abs(a).max()),
                         "recompute_count": f.stats.recompute_count,
