@@ -20,9 +20,12 @@ matrix, where ``L`` is unit lower triangular and ``D`` is block diagonal with
   at the next panel's start, like a 2x2 pivot that would overflow the
   panel), and a panel whose first walk runs long ends after that step:
   panels stay one step wide while walks keep running long, and a short walk
-  restores width ``b``.  Every hop is still charged the ``m - 2``
-  comparisons of a column scan, and a deferred search is charged only once,
-  by its rerun.
+  restores width ``b``.  While walks keep running long, each walk reads the
+  table from its first hop instead of forming ``_ROOK_HOPS`` columns first;
+  a walk that turns out short then costs one table built for nothing, and
+  the next walk forms its columns again.  Every hop is still charged the
+  ``m - 2`` comparisons of a column scan, and a deferred search is charged
+  only once, by its rerun.
 
 Elimination is organized in panels of width ``b``.  Inside a panel only the
 current pivot columns are updated (each formed from the frozen trailing
@@ -38,8 +41,10 @@ underflow and a power-of-two scaling of the sketch leaves the choice as is.
 Only the lower triangle of the active block ``A[k:, k:]`` is kept, as in
 LAPACK ``dsytrf``/``dlasyf``, and ``A``, ``L`` and the panel's ``W`` are
 stored column-major as there, so the columns the engine forms, writes and
-multiplies are contiguous; ``A``'s columns are padded, so that at n = 1024
-or 2048 its rows do not stride by a multiple of 4 KiB.  A column is read as
+multiplies are contiguous; ``A``'s and ``W``'s columns are padded, so that
+at n = 1024 or 2048 their rows do not stride by a multiple of 4 KiB.  ``W``
+is one buffer for the whole run, which each panel views without clearing:
+a panel reads only what its own steps wrote there.  A column is read as
 the row segment left of the diagonal plus the column segment from the
 diagonal down; swaps touch the active block's lower triangle only, as
 ``dsyswapr`` does; and each strip of the trailing update covers its columns
@@ -158,7 +163,9 @@ _STRIP = 128
 # Rook hops that form their column before a walk switches to the off-diagonal
 # table.  On type2, whose walks visit every remaining column, the table makes
 # each further hop a list lookup.  The other gallery families (type1, type3-8
-# and type10 at n = 512, type6 also at 1024) never walk this far.
+# and type10 at n = 512, type6 also at 1024) never walk this far.  A walk that
+# visits more columns runs long; the walk after a long one reads the table
+# from its first hop, since a run of long walks needs the table at every step.
 _ROOK_HOPS = 8
 
 # Spare entries after each column of the working copy of A.  When n is a
@@ -217,8 +224,9 @@ class FactorConfig:
     at every panel end that leaves one; both are meant for experiments, not
     production solves, and neither changes the pivots.  A run that is a
     single panel (n <= b, no step deferred) leaves no trailing block, so
-    its audit records nothing: ``stats.sketch_drift == []``.  A config is
-    validated once, here, and is then frozen.
+    its audit records nothing: ``stats.sketch_drift == []``.  Only rcp keeps
+    a sketch; the other strategies leave ``stats.sketch_drift`` None.  A
+    config is validated once, here, and is then frozen.
     """
 
     strategy: Strategy = Strategy.RCP
@@ -454,17 +462,25 @@ class _Engine:
         self.snapshots: list[tuple[float, float]] | None = (
             [] if cfg.track_growth is GrowthTracking.FULL else None
         )
-        self.drift: list[float] | None = [] if cfg.audit_sketch else None
-        self.input_norm_12 = norm_1_2(self.A) if cfg.audit_sketch else 0.0
+        # Omega is kept only for an audited sketch, so only rcp audits.
+        self.drift: list[float] | None = [] if self.omega is not None else None
+        self.input_norm_12 = norm_1_2(self.A) if self.omega is not None else 0.0
         self.terminated = False
 
-        # Panel state, re-initialized by each _run_panel call.
+        # Panel state, re-initialized by each _run_panel call.  W holds the
+        # panel's pivot columns, column t from row k - k0 down, as the step
+        # that eliminated them left them.  Every read takes rows >= k - k0 of
+        # columns < t, all written by then, so each panel takes a view of one
+        # buffer without clearing it.  The padded leading dimension keeps W's
+        # rows, which swaps, column forming and the strips read, off 4 KiB
+        # strides, as for A.
         self.k0 = 0
         self.t = 0
-        self.W = np.zeros((0, 0))
-        # Set when the rook walk at a panel's start builds the off-diagonal
-        # table; the panel then ends after that step.
-        self.table_built = False
+        self.W = self.w_buf = np.empty((n + _PAD, min(cfg.b + 1, n)), order="F")
+        # Whether the last step's rook walk ran long: past _ROOK_HOPS columns,
+        # or deferred for want of a table; a step with no walk clears it.  A
+        # long walk ends its panel, so only a panel's first step sees it set.
+        self.last_walk_long = False
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -618,7 +634,6 @@ class _Engine:
         """
         if self.t:
             return None
-        self.table_built = True
         return _offdiag_table(self.A[self.k :, self.k :])
 
     def _decide(self) -> PivotDecision:
@@ -645,7 +660,7 @@ class _Engine:
                 alpha=self.alpha,
                 counters=self.counters,
             )
-        return _bbk_from_data(
+        decision = _bbk_from_data(
             a_kk=a_kk,
             sub=sub,
             column_at=self._column,
@@ -654,8 +669,10 @@ class _Engine:
             alpha=self.alpha,
             counters=self.counters,
             long_walk=self._long_walk,
-            hop_limit=_ROOK_HOPS,
+            hop_limit=0 if self.last_walk_long else _ROOK_HOPS,
         )
+        self.last_walk_long = decision.hops > _ROOK_HOPS or decision.kind is PivotKind.DEFER
+        return decision
 
     # -- elimination -----------------------------------------------------
 
@@ -776,16 +793,13 @@ class _Engine:
         self.k0 = k0
         width = min(self.cfg.b, n - k0)
         self.t = 0
-        self.table_built = False
         self.cols.clear()
         batch = self.B is not None and self.cfg.q > 1
         if batch and n - k0 > 1 and self._panel_preselect(width) == "stop":
             return
-        self.W = np.zeros((n - k0, min(width + 1, n - k0)), order="F")
+        self.W = self.w_buf[: n - k0, : min(width + 1, n - k0)]
         while self.k < n and self.t < width:
-            # While walks run long, each panel is this one step: the next
-            # walk then starts again from the exact Schur complement.
-            if self._step(width) != "ok" or self.table_built:
+            if self._step(width) != "ok":
                 break
         self._apply_trailing()
         k, t = self.k, self.t
@@ -800,7 +814,6 @@ class _Engine:
             self._charge(t * self.p * w + (t * (t - 1) // 2) * w)
         if self.drift is not None and t > 0:
             self._record_drift()
-        self.W = np.zeros((0, 0))
         if k - self.open0 >= max(self.cfg.b, _CLOSE):
             self.closed.append((self.open0, k, self.perm[k:].copy()))
             self.open0 = k
@@ -851,7 +864,9 @@ class _Engine:
         self._eliminate(decision)
         self.k += decision.s
         self.t += decision.s
-        return "ok"
+        # While walks run long, each panel is this one step: the next walk
+        # then starts again from the exact Schur complement.
+        return "long" if decision.hops > _ROOK_HOPS else "ok"
 
 
 def factor(a: np.ndarray, cfg: FactorConfig | None = None, **overrides) -> Factorization:

@@ -15,14 +15,16 @@ columns or diagonal entries through a callback, and returns a
   by 1/alpha for 1x1 pivots and 1/(1 - alpha) for 2x2 pivots at the cost of
   a potentially quadratic search per step.
 
-A rook walk that passes a hop limit asks its caller for an off-diagonal
+A rook walk that reaches a hop limit asks its caller for an off-diagonal
 table (``_offdiag_table``): every column's largest off-diagonal magnitude
 and its first index, read off the lower triangle in one pass, as LAPACK
 ``dsytrf_rook`` and bounded Bunch-Kaufman (Ashcraft, Grimes & Lewis, 1998)
 make the search cheap.  Each later hop is a list lookup that gives bitwise
-what forming and scanning the column gives.  A caller that cannot
-supply the table (inside a panel, where the stored block is not yet the
-Schur complement) gets a ``DEFER`` decision and searches again later.
+what forming and scanning the column gives.  A hop limit of 0 reads the
+table from the walk's first hop; the engine passes it while walks keep
+running long.  A caller that cannot supply the table (inside a panel, where
+the stored block is not yet the Schur complement) gets a ``DEFER`` decision
+and searches again later.
 
 The rules never modify the matrix; they only read it and increment the
 comparison counter by the length of each max scan.  A hop answered from the
@@ -72,13 +74,16 @@ class PivotDecision:
     two rows that both differ from the leading position: the caller swaps
     ``p`` to position k before swapping ``r`` to position k+1.  ``DEFER``
     (``s`` = 0) means the rook walk outgrew its hop limit where no
-    off-diagonal table was available; nothing was chosen.
+    off-diagonal table was available; nothing was chosen.  ``hops`` is the
+    number of columns the rook walk visited, formed or read from the table
+    (for ``DEFER``, those formed before it stopped); 0 when no walk ran.
     """
 
     kind: PivotKind
     s: int
     r: int | None = None
     p: int | None = None
+    hops: int = 0
 
 
 # ``column_at(j)`` returns column j of the active Schur complement from row k
@@ -216,34 +221,43 @@ def _bbk_from_data(
         if hop == hop_limit and long_walk is not None:
             table = long_walk()
             if table is None:
-                return PivotDecision(PivotKind.DEFER, s=0)
-            return _table_walk(table, k, p, i, colmax, alpha, counters)
+                return PivotDecision(PivotKind.DEFER, s=0, hops=hop)
+            return _table_walk(table, k, p, i, colmax, alpha, counters, hop)
         col = np.asarray(column_at(k + i), dtype=np.float64)
         rowmax, local = _scan_max_off(np.abs(col), i, counters)
         if abs(col[i]) >= alpha * rowmax or local == p or rowmax <= colmax:
-            return _rook_stop(k, p, i, abs(col[i]) >= alpha * rowmax)
+            return _rook_stop(k, p, i, abs(col[i]) >= alpha * rowmax, hop + 1)
         p, i, colmax = i, local, rowmax
     raise AssertionError("rook search failed to terminate")  # pragma: no cover
 
 
-def _rook_stop(k: int, p: int, i: int, diagonal: bool) -> PivotDecision:
-    """Where a rook walk ends, at local candidate i after local candidate p."""
+def _rook_stop(k: int, p: int, i: int, diagonal: bool, hops: int) -> PivotDecision:
+    """Where a rook walk of ``hops`` visits ends, at local candidate i after p."""
     if diagonal:
-        return PivotDecision(PivotKind.ONE_BY_ONE_SWAP_R, s=1, r=k + i)
-    return PivotDecision(PivotKind.TWO_BY_TWO, s=2, r=k + i, p=None if p == 0 else k + p)
+        return PivotDecision(PivotKind.ONE_BY_ONE_SWAP_R, s=1, r=k + i, hops=hops)
+    return PivotDecision(
+        PivotKind.TWO_BY_TWO, s=2, r=k + i, p=None if p == 0 else k + p, hops=hops
+    )
 
 
 def _table_walk(
-    table: OffDiagTable, k: int, p: int, i: int, colmax: float, alpha: float, counters: OpCounters
+    table: OffDiagTable,
+    k: int,
+    p: int,
+    i: int,
+    colmax: float,
+    alpha: float,
+    counters: OpCounters,
+    formed: int,
 ) -> PivotDecision:
-    """The rest of a rook walk, each hop read from the off-diagonal table."""
+    """The rest of a rook walk after ``formed`` hops, each read from the table."""
     absdiag, vmax, vidx = table
     m = len(absdiag)
     for hops in range(1, m + 1):
         rowmax, local = vmax[i], vidx[i]
         if absdiag[i] >= alpha * rowmax or local == p or rowmax <= colmax:
             counters.comps += hops * (m - 2)
-            return _rook_stop(k, p, i, absdiag[i] >= alpha * rowmax)
+            return _rook_stop(k, p, i, absdiag[i] >= alpha * rowmax, formed + hops)
         p, i, colmax = i, local, rowmax
     raise AssertionError("rook search failed to terminate")  # pragma: no cover
 

@@ -183,6 +183,19 @@ def _zero_tail(n: int, rank: int) -> np.ndarray:
     return a
 
 
+def _assert_bitwise_equal(got, want):
+    """Two factorizations agree bitwise, their counters and diagnostics too."""
+    assert np.array_equal(got.perm, want.perm)
+    assert np.array_equal(got.pattern, want.pattern)
+    assert np.array_equal(got.L, want.L)
+    for g, w in zip(got.D.blocks, want.D.blocks, strict=True):
+        assert np.array_equal(g, w)
+    assert got.stats.counters == want.stats.counters
+    assert got.stats.recompute_count == want.stats.recompute_count
+    assert got.stats.snapshots == want.stats.snapshots
+    assert got.stats.sketch_drift == want.stats.sketch_drift
+
+
 @pytest.mark.parametrize(
     "kwargs, a",
     [
@@ -215,17 +228,7 @@ def test_engine_never_reads_strict_upper_triangle(kwargs, a):
     clean = _Engine(a, cfg).run()
     engine = _Engine(a, cfg)
     engine.A[np.triu_indices(a.shape[0], 1)] = np.nan
-    poisoned = engine.run()
-    assert np.array_equal(poisoned.perm, clean.perm)
-    assert np.array_equal(poisoned.pattern, clean.pattern)
-    assert np.array_equal(poisoned.L, clean.L)
-    assert len(poisoned.D.blocks) == len(clean.D.blocks)
-    for got, want in zip(poisoned.D.blocks, clean.D.blocks):
-        assert np.array_equal(got, want)
-    assert poisoned.stats.counters == clean.stats.counters
-    assert poisoned.stats.recompute_count == clean.stats.recompute_count
-    assert poisoned.stats.snapshots == clean.stats.snapshots
-    assert poisoned.stats.sketch_drift == clean.stats.sketch_drift
+    _assert_bitwise_equal(engine.run(), clean)
     if kwargs.get("p") == 6:
         assert clean.deficient_from == 40  # the guard fired on the zero tail
 
@@ -450,6 +453,91 @@ def test_long_walk_inside_a_panel_defers_and_short_walks_widen(monkeypatch):
     assert sum(t == 32 for k0, t in table.panels if k0 >= 88) >= 2
 
 
+def _walks_form_first(monkeypatch):
+    """Pin the engine's long-walk flag off: every walk then forms its first
+    ``_ROOK_HOPS`` columns before it reads the table, as it did before walks
+    in a run of long ones started from the table."""
+    flag = property(lambda self: False, lambda self, value: None)
+    monkeypatch.setattr(_Engine, "last_walk_long", flag, raising=False)
+
+
+def _table_first_against_form_first(a, b, monkeypatch):
+    """Run bbk with table-first walks and with the flag pinned off; every
+    result and every panel must agree bitwise.  Returns both engines."""
+    first = _PanelEngine(a, FactorConfig(strategy="bbk", b=b))
+    got = first.run()
+    with monkeypatch.context() as patch:
+        _walks_form_first(patch)
+        formed = _PanelEngine(a, FactorConfig(strategy="bbk", b=b))
+        want = formed.run()
+    _assert_bitwise_equal(got, want)
+    assert first.panels == formed.panels
+    return first, formed
+
+
+@pytest.mark.parametrize(
+    "family, n, b",
+    [("type2", n, b) for n in (64, 300) for b in (1, 7, 64)] + [("type6", 300, 64)],
+)
+def test_table_first_walks_keep_every_result(family, n, b, monkeypatch):
+    _table_first_against_form_first(generate(MatrixSpec(family, n)), b, monkeypatch)
+
+
+def test_table_first_walks_form_about_two_columns_a_step(monkeypatch):
+    # type2's walks visit every remaining column.  Formed first, each forms
+    # 8 columns before it reads the table; read from the table, a step forms
+    # only its pivot columns.  At most one table is built for nothing.
+    a = generate(MatrixSpec("type2", 256))
+    first, formed = _table_first_against_form_first(a, 64, monkeypatch)
+    steps = len(first.blocks)
+    assert first.formed <= 2.2 * steps < formed.formed / 4
+    tables = [sum(built for _, built in e.walks) for e in (first, formed)]
+    assert tables[1] <= tables[0] <= tables[1] + 1
+
+
+def test_panels_regain_width_after_a_run_of_long_walks(monkeypatch):
+    # A type2 block, whose walks run long until its last few columns, then a
+    # diagonally dominant block, where no walk runs.  The first short walk
+    # reads a table it did not need; after it, panels are b wide again.
+    dominant = random_symmetric(96, seed=3) + 200.0 * np.eye(96)
+    a = _block_diagonal(generate(MatrixSpec("type2", 64)), dominant)
+    first, formed = _table_first_against_form_first(a, 32, monkeypatch)
+    tables = [sum(built for _, built in e.walks) for e in (first, formed)]
+    assert tables[0] == tables[1] + 1
+    widths = [t for _, t in first.panels]
+    ones = widths.count(1)
+    assert ones > 32 and widths == [1] * ones + [32, 32, 32, 160 - ones - 96]
+
+
+# -- panel buffer ----------------------------------------------------------
+
+
+class _PoisonedPanelEngine(_Engine):
+    """Fills the whole panel buffer with NaN before every panel, so a read of
+    an entry the current panel has not written shows in every result."""
+
+    def _run_panel(self):
+        self.w_buf.fill(np.nan)
+        super()._run_panel()
+
+
+_BUFFER_CONFIGS = [
+    dict(strategy=s, b=b) for s in STRATEGIES for b in (1, 7, 64)
+] + [dict(p=16, b=16, q=16)]
+
+
+@pytest.mark.parametrize("family", ["type2", "type6"])
+@pytest.mark.parametrize("overrides", _BUFFER_CONFIGS, ids=str)
+@pytest.mark.parametrize("tracked", [False, True])
+def test_panels_read_only_what_they_wrote_in_w(family, overrides, tracked):
+    # Each panel takes a view of one uncleared buffer; every read of it must
+    # take rows >= k - k0 of columns < t, all written by the panel's steps.
+    extra = dict(audit_sketch=True, track_growth="full") if tracked else {}
+    a = generate(MatrixSpec(family, 150, seed=1))
+    cfg = FactorConfig(seed=1, **overrides, **extra)
+    _assert_bitwise_equal(_PoisonedPanelEngine(a, cfg).run(), factor(a, cfg))
+
+
 # -- multipliers ---------------------------------------------------------------
 
 
@@ -600,6 +688,16 @@ def test_audit_of_a_single_panel_records_nothing():
     # one panel leaves none, so there is no drift to record.
     f = factor(random_symmetric(60, seed=1), p=8, b=64, audit_sketch=True, seed=1)
     assert f.stats.sketch_drift == []
+
+
+@pytest.mark.parametrize("strategy", ["bkpp", "bbk"])
+def test_audit_without_a_sketch_records_nothing(strategy):
+    # Only rcp keeps a sketch to audit; asking the others for an audit
+    # changes nothing and records no drift.
+    a = random_symmetric(100, seed=1)
+    f = factor(a, strategy=strategy, b=16, audit_sketch=True)
+    assert f.stats.sketch_drift is None
+    assert np.array_equal(f.L, factor(a, strategy=strategy, b=16).L)
 
 
 def _replayed_snapshots(a, f):

@@ -138,12 +138,13 @@ def test_partial_skips_zero_column():
 def test_rook_accepts_dominant_diagonal():
     d = decide(_bbk_from_data, [[2.0, 1.0], [1.0, 0.0]])
     assert d == PivotDecision(PivotKind.ONE_BY_ONE, s=1)
+    assert d.hops == 0  # a_kk dominates, so no walk runs
 
 
 def test_rook_swaps_to_large_diagonal():
     d = decide(_bbk_from_data, [[0.0, 1.0], [1.0, 3.0]])
     assert d.kind is PivotKind.ONE_BY_ONE_SWAP_R
-    assert (d.s, d.r) == (1, 1)
+    assert (d.s, d.r, d.hops) == (1, 1, 1)
 
 
 def test_rook_takes_adjacent_two_by_two():
@@ -167,6 +168,7 @@ def test_rook_walk_pairs_two_interior_rows():
     d = decide(_bbk_from_data, a)
     assert d.kind is PivotKind.TWO_BY_TWO
     assert (d.s, d.r, d.p) == (2, 3, 2)
+    assert d.hops == 2  # columns 2 and 3
 
 
 def test_rook_skips_zero_column():
@@ -310,7 +312,8 @@ def test_offdiag_table_finds_nan_first():
 @given(m=st.integers(2, 9), hop_limit=st.integers(0, 3), data=st.data())
 def test_rook_walk_from_table_matches_formed_columns(m, hop_limit, data):
     # Switching to the table after any number of hops changes neither the
-    # decision nor the comparisons charged.
+    # decision, the number of columns the walk visits included, nor the
+    # comparisons charged.
     a = _sample_matrix(data, m)
     want_counters, got_counters = OpCounters(), OpCounters()
     want = decide(_bbk_from_data, a, counters=want_counters)
@@ -328,6 +331,6 @@ def test_rook_walk_from_table_matches_formed_columns(m, hop_limit, data):
 def test_rook_walk_defers_without_a_table():
     a = generate(MatrixSpec("type2", 32))
     d = decide(_bbk_from_data, a, long_walk=lambda: None, hop_limit=2)
-    assert d == PivotDecision(PivotKind.DEFER, s=0)
+    assert d == PivotDecision(PivotKind.DEFER, s=0, hops=2)
     full = decide(_bbk_from_data, a, long_walk=lambda: None, hop_limit=a.shape[0])
     assert full.kind is not PivotKind.DEFER
