@@ -17,13 +17,16 @@ Conventions used throughout the package:
 * A permutation is a 1-D integer ndarray ``perm`` of length n containing
   each index exactly once.  Applied symmetrically it relabels the matrix as
   ``A[perm][:, perm]``.
-* Every level-3 product of the factorization runs on SciPy's BLAS.  The
-  large ones (the trailing update and the sketch projections) go through
-  ``gemm``, which calls ``dgemm`` on column-major views in place, through
-  their leading dimensions, as LAPACK ``dlasyf`` updates its trailing
-  block.  NumPy and SciPy each load their own OpenBLAS with its own thread
-  pool; large products on both make one pool's idle workers spin while
-  the other's run.
+* Every level-3 product of the factorization runs on SciPy's BLAS, through
+  one ``dgemm`` entry, in place, through the leading dimensions, as LAPACK
+  ``dlasyf`` updates its trailing block.  A column-major buffer is checked
+  once, when it is bound as a ``Buffer``; ``dgemm`` then takes blocks of
+  bound buffers by offset and checks only, in plain ints, that each block
+  lies inside its buffer and that the output is writeable and shares no
+  entry with an input.  ``gemm`` is the same call on views, checked in
+  full on every call.  NumPy and SciPy each load their own OpenBLAS with
+  its own thread pool; large products on both make one pool's idle
+  workers spin while the other's run.
 """
 
 from __future__ import annotations
@@ -181,12 +184,14 @@ def column_norms(m: np.ndarray, from_col: int = 0) -> np.ndarray:
 def _sums_of_squares(block: np.ndarray) -> np.ndarray:
     """Each column's sum of squares, accumulated from the first row down.
 
-    einsum runs over a C-ordered copy, adding one row's squares to all the
-    sums at once; on a short column-major block, such as the sketch, that
-    beats summing each column on its own.  Unlike a ufunc, einsum does not
-    warn when a square overflows, which column_norms handles itself.
+    einsum runs over rows of unit stride, adding one row's squares to all
+    the sums at once; on a short block, such as the sketch, that beats
+    summing each column on its own.  A block whose rows are strided, such
+    as a column-major one, is copied to C order first; the sums are the
+    same bits either way.  Unlike a ufunc, einsum does not warn when a
+    square overflows, which column_norms handles itself.
     """
-    sq = np.ascontiguousarray(block)
+    sq = block if block.strides[1] == 8 else np.ascontiguousarray(block)
     return np.einsum("ij,ij->j", sq, sq)
 
 
@@ -213,17 +218,100 @@ del _capsule
 _INT_MAX = 2**31 - 1
 
 
-def _leading_dim(x: np.ndarray, name: str) -> int:
-    """Leading dimension of ``x`` as a column-major matrix; ``ValueError`` if it is not one."""
-    if not isinstance(x, np.ndarray) or x.ndim != 2 or x.dtype != np.float64:
-        raise ValueError(f"gemm: {name} must be a 2-D float64 ndarray")
-    rows, cols = x.shape
-    ld = x.strides[1] // 8 if cols > 1 else rows
-    if (rows > 1 and x.strides[0] != 8) or (cols > 1 and (x.strides[1] % 8 or ld < rows)):
-        raise ValueError(f"gemm: {name} is not a column-major view (strides {x.strides})")
-    if max(rows, cols, ld) > _INT_MAX:
-        raise ValueError(f"gemm: {name} has a dimension beyond a C int")
-    return max(ld, 1)
+class Buffer:
+    """A float64 column-major array, checked once for ``dgemm``.
+
+    Binding checks the layout (unit row stride, a column stride of at least
+    the row count, handed to BLAS as the leading dimension, and dimensions
+    that fit a C int) and keeps the array, its shape, leading dimension (also
+    as the C int BLAS reads), data pointer and writeability; the array is
+    kept so its memory outlives the pointer.  A block is then handed to
+    ``dgemm`` as ``(buffer, i, j)``, its first entry's row and column.
+    """
+
+    __slots__ = ("array", "rows", "cols", "ld", "ld_c", "ptr", "writeable")
+
+    def __init__(self, array: np.ndarray, name: str = "buffer") -> None:
+        if not isinstance(array, np.ndarray) or array.ndim != 2 or array.dtype != np.float64:
+            raise ValueError(f"dgemm: {name} must be a 2-D float64 ndarray")
+        (rows, cols), (s0, s1) = array.shape, array.strides
+        ld = s1 // 8 if cols > 1 else rows
+        if (rows > 1 and s0 != 8) or (cols > 1 and (s1 % 8 or ld < rows)):
+            raise ValueError(f"dgemm: {name} is not a column-major view (strides {s0, s1})")
+        if max(rows, cols, ld) > _INT_MAX:
+            raise ValueError(f"dgemm: {name} has a dimension beyond a C int")
+        self.array, self.rows, self.cols, self.ld = array, rows, cols, max(ld, 1)
+        self.ld_c = ctypes.c_int(self.ld)
+        self.ptr, self.writeable = array.ctypes.data, array.flags.writeable
+
+
+def require_disjoint(*buffers: Buffer) -> None:
+    """``ValueError`` if two of the bound buffers may share memory."""
+    for i, x in enumerate(buffers):
+        for y in buffers[:i]:
+            if np.may_share_memory(x.array, y.array):
+                raise ValueError("dgemm: bound buffers overlap")
+
+
+# A block of a bound buffer: the buffer, then its first entry's row and column.
+Block = tuple[Buffer, int, int]
+
+
+def dgemm(
+    m: int,
+    n: int,
+    k: int,
+    alpha: float,
+    a: Block,
+    b: Block,
+    beta: float,
+    c: Block,
+    trans_a: bool = False,
+    trans_b: bool = False,
+) -> None:
+    """``C = alpha * op(A) @ op(B) + beta * C`` in place on blocks of bound buffers.
+
+    Each operand is a block ``(buffer, i, j)`` of a :class:`Buffer`: ``C``
+    is its ``m x n`` block at ``(i, j)``, ``op(A)`` is ``m x k`` and
+    ``op(B)`` is ``k x n``, where ``op(x)`` is ``x.T`` if its ``trans_``
+    flag is set, else ``x``.  Every call checks, in plain ints, that ``C``'s
+    buffer is writeable, that every block lies inside its buffer, and that
+    ``C``'s block shares no entry with an input block of the same buffer
+    (bound buffers do not overlap: see :func:`require_disjoint`).  So no
+    pointer outside a buffer and no aliased output reaches BLAS; any failure
+    raises ``ValueError`` before BLAS runs.  With ``beta = 0`` the old
+    values of ``C`` are not read.
+    """
+    (abuf, ai, aj), (bbuf, bi, bj), (cbuf, ci, cj) = a, b, c
+    ar, ac = (k, m) if trans_a else (m, k)
+    br, bc = (n, k) if trans_b else (k, n)
+    if not cbuf.writeable:
+        raise ValueError("dgemm: c is read-only")
+    if (
+        min(m, n, k, ai, aj, bi, bj, ci, cj) < 0
+        or ai + ar > abuf.rows or aj + ac > abuf.cols
+        or bi + br > bbuf.rows or bj + bc > bbuf.cols
+        or ci + m > cbuf.rows or cj + n > cbuf.cols
+    ):
+        raise ValueError(f"dgemm: a block of the {m} x {n} x {k} product lies outside its buffer")
+    if m == 0 or n == 0:
+        return
+    # Two blocks of one column-major buffer share no entry when their rows
+    # or their columns are apart.
+    if (
+        cbuf is abuf and ci < ai + ar and ai < ci + m and cj < aj + ac and aj < cj + n
+    ) or (
+        cbuf is bbuf and ci < bi + br and bi < ci + m and cj < bj + bc and bj < cj + n
+    ):
+        raise ValueError("dgemm: c overlaps an input block")
+    i, f = ctypes.c_int, ctypes.c_double
+    _dgemm(
+        b"T" if trans_a else b"N", b"T" if trans_b else b"N",
+        i(m), i(n), i(k),
+        f(alpha), abuf.ptr + 8 * (ai + aj * abuf.ld), abuf.ld_c,
+        bbuf.ptr + 8 * (bi + bj * bbuf.ld), bbuf.ld_c,
+        f(beta), cbuf.ptr + 8 * (ci + cj * cbuf.ld), cbuf.ld_c,
+    )
 
 
 def gemm(
@@ -240,26 +328,18 @@ def gemm(
     ``op(x)`` is ``x.T`` if its ``trans_`` flag is set, else ``x``.  Every
     operand is a float64 column-major view: unit row stride and a column
     stride of at least its row count, handed to BLAS as the leading
-    dimension, so ``c`` may be a block of a larger, padded array.  Any other
-    operand, a read-only ``c``, a ``c`` that may overlap an input, or shapes
-    that do not conform raise ``ValueError`` before a pointer reaches BLAS.
-    With ``beta = 0`` the old values of ``c`` are not read.
+    dimension, so ``c`` may be a block of a larger, padded array.  Each view
+    is bound as a :class:`Buffer` and the product runs through
+    :func:`dgemm`.  Any other operand, a read-only ``c``, a ``c`` that may
+    overlap an input, or shapes that do not conform raise ``ValueError``
+    before a pointer reaches BLAS.  With ``beta = 0`` the old values of
+    ``c`` are not read.
     """
-    lda, ldb, ldc = _leading_dim(a, "a"), _leading_dim(b, "b"), _leading_dim(c, "c")
+    ba, bb, bc = Buffer(a, "a"), Buffer(b, "b"), Buffer(c, "c")
     m, k = a.shape[::-1] if trans_a else a.shape
     kb, n = b.shape[::-1] if trans_b else b.shape
     if kb != k or c.shape != (m, n):
         raise ValueError(f"gemm: shapes {a.shape}, {b.shape} and {c.shape} do not conform")
-    if not c.flags.writeable:
-        raise ValueError("gemm: c is read-only")
     if np.may_share_memory(c, a) or np.may_share_memory(c, b):
         raise ValueError("gemm: c may overlap an input")
-    if m == 0 or n == 0:
-        return
-    i, f = ctypes.c_int, ctypes.c_double
-    _dgemm(
-        b"T" if trans_a else b"N", b"T" if trans_b else b"N",
-        i(m), i(n), i(k),
-        f(alpha), a.ctypes.data, i(lda), b.ctypes.data, i(ldb),
-        f(beta), c.ctypes.data, i(ldc),
-    )
+    dgemm(m, n, k, alpha, (ba, 0, 0), (bb, 0, 0), beta, (bc, 0, 0), trans_a, trans_b)

@@ -50,16 +50,19 @@ diagonal down; swaps touch the active block's lower triangle only, as
 ``dsyswapr`` does; and each strip of the trailing update covers its columns
 from the diagonal down, so a panel of t columns costs about ``t m^2 / 2``
 multiplies on an m x m block rather than ``t m^2``.  Each strip is one
-BLAS ``dgemm`` (``core.gemm``, alpha = -1, beta = 1) that writes its
-columns of ``A`` in place through the padded leading dimension, as
-``dlasyf`` updates its trailing block; the sketch projections run through
-the same call, so every large product runs on one BLAS thread pool.  The
-strip products also update the upper half of each diagonal strip square,
-whose values are never used: no result depends on the strict upper
-triangle.  The rare paths that need the whole block (the guard's fresh
-projection, full growth tracking and the sketch audit) mirror a copy of it
-on demand, at the configured ``b`` and ``q``: a growth snapshot inside a
-panel subtracts the panel's pending update.
+BLAS ``dgemm`` (alpha = -1, beta = 1) that writes its columns of ``A`` in
+place through the padded leading dimension, as ``dlasyf`` updates its
+trailing block.  ``A``, ``L``, ``W`` and the sketch are bound once, when
+they are allocated, and each call hands ``core.dgemm`` blocks of them by
+offset, so a one-step panel pays no per-call view checks.  The sketch
+downdates and projections run through the same ``dgemm``, so every large
+product runs on one BLAS thread pool.  The strip products also update the
+upper half of each diagonal strip square, whose values are never used: no
+result depends on the strict upper triangle.  The rare paths that need the
+whole block (the guard's fresh projection, full growth tracking and the
+sketch audit) mirror a copy of it on demand, at the configured ``b`` and
+``q``: a growth snapshot inside a panel subtracts the panel's pending
+update.
 
 A swap exchanges the rows of ``L`` only over the open block: the columns
 from the first one not yet closed up to k, the current panel among them.
@@ -80,7 +83,8 @@ diagonal entry.  The cost model charges every use as a formation.
 The q = 1 sketch norms come from ``column_norms``, which sums the squares
 as they stand and rescales by a power of two only when the largest sum
 overflows or nears the subnormal range, so ``2**e * A`` selects as ``A``
-does.
+does.  The q = 1 sketch is kept row-major, so the sums run over its rows
+in place.
 
 A guarded mode watches the selected sketch column norm; when it falls below
 ``eps**delta * beta`` (``beta`` being the initial sketch norm), the sketch is
@@ -101,14 +105,16 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
-from scipy.linalg.blas import dgemm
 
 from .core import (
+    Buffer,
     column_norms,
+    dgemm,
     exchange,
     gemm,
     identity_permutation,
     mirror_lower,
+    require_disjoint,
     require_finite,
     require_square,
     require_symmetric,
@@ -218,7 +224,8 @@ class FactorConfig:
 
     ``q`` must be 1 (one sketch pivot per step) or equal to ``b`` (one batch
     of sketch pivots per panel), and the sketch size ``p`` must be at least
-    ``q``.  ``robust_r`` is the recompute budget of the guarded mode, armed
+    ``q``; only rcp keeps a sketch, so the other strategies take ``q = 1``
+    only.  ``robust_r`` is the recompute budget of the guarded mode, armed
     by default; 0 disables the guard.  ``track_growth="full"`` copies every
     step's Schur complement and ``audit_sketch`` projects the active block
     at every panel end that leaves one; both are meant for experiments, not
@@ -247,6 +254,11 @@ class FactorConfig:
             raise ValueError("panel width b must be positive")
         if self.q not in (1, self.b):
             raise ValueError(f"q must be 1 or b={self.b}, got {self.q}")
+        if self.q > 1 and self.strategy is not Strategy.RCP:
+            raise ValueError(
+                f"q={self.q} selects sketch columns, but strategy {self.strategy.value!r} "
+                "keeps no sketch; use q=1"
+            )
         if self.p < self.q:
             raise ValueError(f"sketch size p={self.p} must be at least q={self.q}")
         if self.robust_r < 0:
@@ -421,6 +433,8 @@ class _Engine:
         padded[:, :n] = a
         self.A = padded.T[:n]
         self.L = np.eye(n, order="F")
+        # Each buffer that dgemm reads or writes is bound once, as it is made.
+        self.buf_A, self.buf_L = Buffer(self.A, "A"), Buffer(self.L, "L")
         self.perm = identity_permutation(n)
         # L's rows follow every swap over columns open0:k only; each closed
         # block (c0, c1, perm[c1:] when it closed) is gathered once by run.
@@ -441,8 +455,11 @@ class _Engine:
 
         # The sketch B = Omega A exists for rcp only.  Every Omega, including
         # the guard's fresh ones, comes from one Philox stream, so a run is
-        # reproducible given the seed.  B is column-major, so its trailing
-        # columns are one contiguous block that dgemm downdates in place.
+        # reproducible given the seed.  With q = 1, B is row-major: a step's
+        # norms sum B's rows where they lie, with no copy, and its downdate
+        # is one tall dgemm on the column-major B.T.  With q = b, B is
+        # column-major, so the panel correction keeps the operand order, and
+        # the rounding, it has always had.
         self.B: np.ndarray | None = None
         self.omega: np.ndarray | None = None
         self.p = cfg.p
@@ -451,6 +468,9 @@ class _Engine:
             self.rng = np.random.Generator(np.random.Philox(cfg.seed))
             self.omega = self.rng.standard_normal((cfg.p, n))
             self.B = self._project(self.omega, self.A)
+            if cfg.q > 1:
+                self.B = np.asfortranarray(self.B)
+            self.buf_B = Buffer(self.B.T if cfg.q == 1 else self.B, "B")
             if not cfg.audit_sketch:
                 self.omega = None
 
@@ -477,6 +497,9 @@ class _Engine:
         self.k0 = 0
         self.t = 0
         self.W = self.w_buf = np.empty((n + _PAD, min(cfg.b + 1, n)), order="F")
+        self.buf_W = Buffer(self.w_buf, "W")
+        sketch = (self.buf_B,) if self.B is not None else ()
+        require_disjoint(self.buf_A, self.buf_L, self.buf_W, *sketch)
         # Whether the last step's rook walk ran long: past _ROOK_HOPS columns,
         # or deferred for want of a table; a step with no walk clears it.  A
         # long walk ends its panel, so only a panel's first step sees it set.
@@ -551,14 +574,17 @@ class _Engine:
         m = n - k
         if t == 0 or m == 0:
             return
-        panel = slice(k0, k0 + t)
-        # Each strip is one dgemm into A, in place.  OpenBLAS may hand a
+        # Each strip is one dgemm into A, in place: A[c0:, c0:c1] -=
+        # L[c0:, k0:k0+t] @ W[c0-k0:c1-k0, :t].T.  OpenBLAS may hand a
         # 1-column dgemm to gemv, which rounds differently, so the last
         # strip absorbs a 1-column remainder.
         cuts = (list(range(k, n - 1, _STRIP)) or [k]) + [n]
         for c0, c1 in zip(cuts, cuts[1:]):
-            w = self.W[c0 - k0 : c1 - k0, :t]
-            gemm(-1.0, self.L[c0:, panel], w, 1.0, self.A[c0:, c0:c1], trans_b=True)
+            dgemm(
+                n - c0, c1 - c0, t,
+                -1.0, (self.buf_L, c0, k0), (self.buf_W, c0 - k0, 0),
+                1.0, (self.buf_A, c0, c0), trans_b=True,
+            )
         self._charge(t * (m * (m + 1)) // 2)
 
     def _gather_closed_blocks(self) -> None:
@@ -580,15 +606,17 @@ class _Engine:
 
     @staticmethod
     def _project(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """``omega @ a`` as a new column-major array, for a column-major ``a``.
+        """``omega @ a`` as a new row-major array, for a column-major ``a``.
 
         It is formed as ``(a.T @ omega.T).T``, the call NumPy's ``omega @ a``
         makes: OpenBLAS runs that tall product faster than the wide one (4.7
-        against 6.1 ms at n = 2048, p = 5).
+        against 6.1 ms at n = 2048, p = 5).  Its operands are new arrays or
+        views, so it goes through ``core.gemm``, which binds them and calls
+        the same ``dgemm``.
         """
         out_t = np.empty((a.shape[1], omega.shape[0]), order="F")
         gemm(1.0, a, omega.T, 0.0, out_t, trans_a=True)
-        return np.asfortranarray(out_t.T)
+        return out_t.T
 
     def _sketch_pivot(self) -> tuple[str, int]:
         """Position of the largest sketch column norm behind the guard, with a status.
@@ -704,19 +732,13 @@ class _Engine:
                 self.counters.mults += 4 * w + 2
                 self.counters.adds += 2 * w + 1
         if self.B is not None and self.cfg.q == 1 and w > 0:
-            self._downdate_sketch(k + s, self.B[:, k : k + s], lcols, trans_y=True)
+            # B[:, k+s:] -= B[:, k:k+s] @ lcols.T, in place on the bound B.T
+            # as B.T[k+s:] -= lcols @ B.T[k:k+s], with lcols read back from L.
+            dgemm(
+                w, self.p, s,
+                -1.0, (self.buf_L, k + s, k), (self.buf_B, k, 0), 1.0, (self.buf_B, k + s, 0),
+            )
             self._charge(s * self.p * w)
-
-    def _downdate_sketch(self, k: int, x: np.ndarray, y: np.ndarray, trans_y: bool) -> None:
-        """``B[:, k:] -= x @ y``, or ``x @ y.T`` if ``trans_y``, by BLAS ``dgemm``.
-
-        dgemm writes the tail in place when it is F-contiguous, as B is
-        built; any other layout gets a copy back.
-        """
-        tail = self.B[:, k:]
-        out = dgemm(-1.0, x, y, 1.0, tail, trans_b=trans_y, overwrite_c=True)
-        if out is not tail:
-            tail[...] = out
 
     # -- diagnostics -----------------------------------------------------
 
@@ -809,7 +831,10 @@ class _Engine:
             z = solve_triangular(
                 self.L[k0:k, k0:k], ltp.T, lower=True, unit_diagonal=True, trans="T"
             )
-            self._downdate_sketch(k, self.B[:, k0:k], z, trans_y=False)
+            dgemm(
+                self.p, n - k, t,
+                -1.0, (self.buf_B, 0, k0), (Buffer(z, "z"), 0, 0), 1.0, (self.buf_B, 0, k),
+            )
             w = n - k
             self._charge(t * self.p * w + (t * (t - 1) // 2) * w)
         if self.drift is not None and t > 0:

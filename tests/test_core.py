@@ -8,11 +8,14 @@ from hypothesis.extra import numpy as hnp
 
 from randldl import factor
 from randldl.core import (
+    Buffer,
     column_norms,
+    dgemm,
     gemm,
     identity_permutation,
     is_exactly_symmetric,
     mirror_lower,
+    require_disjoint,
     require_square,
     require_symmetric,
     sym_swap,
@@ -268,6 +271,137 @@ def test_gemm_rejects_bad_operands(case):
     with pytest.raises(ValueError, match=message):
         gemm(-1.0, a, b, 1.0, c, trans_b=True)
     assert np.array_equal(c, before)
+
+
+# -- dgemm on bound buffers -------------------------------------------------
+
+
+def _column_major(rng, rows, cols):
+    """A random rows x cols column-major view whose columns are 8 entries apart
+    beyond its rows, as the engine pads its working copy of A."""
+    return rng.standard_normal((cols, rows + 8)).T[:rows]
+
+
+@pytest.mark.parametrize("t", [1, 2, 64])
+@pytest.mark.parametrize("w", [1, 2, 129])  # 129: a strip that absorbed a 1-column remainder
+@pytest.mark.parametrize("trans_a, trans_b", [(False, True), (True, False)])
+def test_dgemm_matches_gemm_on_the_same_padded_views(t, w, trans_a, trans_b):
+    # Blocks at nonzero offsets of bound buffers against gemm on the views
+    # cut at those offsets: the same bits, and nothing outside C's block moves.
+    rng = np.random.default_rng(1000 * t + w)
+    m = w + 40
+    a_shape = (t, m) if trans_a else (m, t)
+    b_shape = (w, t) if trans_b else (t, w)
+    a_buf = _column_major(rng, a_shape[0] + 5, a_shape[1] + 2)
+    b_buf = _column_major(rng, b_shape[0] + 1, b_shape[1] + 3)
+    c_buf = _column_major(rng, m + 7, w + 4)
+    a = a_buf[3 : 3 + a_shape[0], 2 : 2 + a_shape[1]]
+    b = b_buf[1 : 1 + b_shape[0], 0 : b_shape[1]]
+    c = c_buf[5 : 5 + m, 3 : 3 + w]
+    before = c_buf.copy()
+    gemm(-1.0, a, b, 1.0, c, trans_a=trans_a, trans_b=trans_b)
+    want = c_buf.copy()
+    c_buf[...] = before
+    dgemm(
+        m, w, t, -1.0, (Buffer(a_buf), 3, 2), (Buffer(b_buf), 1, 0),
+        1.0, (Buffer(c_buf), 5, 3), trans_a, trans_b,
+    )
+    assert np.array_equal(c_buf, want)
+    outside = np.ones(c_buf.shape, dtype=bool)
+    outside[5 : 5 + m, 3 : 3 + w] = False
+    assert np.array_equal(c_buf[outside], before[outside])
+    assert not np.array_equal(c_buf, before)
+
+
+def _bad_blocks():
+    """dgemm calls that must be refused: (m, n, k, a, b, c) of a valid
+    6 x 4 x 3 product C[1:7, 1:5] -= A @ B.T with one field broken."""
+    rng = np.random.default_rng(3)
+    a, b = Buffer(_column_major(rng, 6, 3)), Buffer(_column_major(rng, 4, 3))
+    c = Buffer(_column_major(rng, 7, 5))
+    tall = Buffer(_column_major(rng, 7, 3))
+    read_only = _column_major(rng, 7, 5)
+    read_only.flags.writeable = False
+    ok = (6, 4, 3, (a, 0, 0), (b, 0, 0), (c, 1, 1))
+
+    def broken(**fields):
+        names = ("m", "n", "k", "a", "b", "c")
+        return tuple(fields.get(name, value) for name, value in zip(names, ok))
+
+    return ok, {
+        "a one row past": (broken(a=(a, 1, 0)), "outside"),
+        "a one column past": (broken(a=(a, 0, 1)), "outside"),
+        "b one row past": (broken(b=(b, 1, 0)), "outside"),
+        "b one column past": (broken(b=(b, 0, 1)), "outside"),
+        "c one row past": (broken(c=(c, 2, 1)), "outside"),
+        "c one column past": (broken(c=(c, 1, 2)), "outside"),
+        "product one row taller than c": (broken(m=7, a=(tall, 0, 0)), "outside"),
+        "negative row offset": (broken(a=(a, -1, 0)), "outside"),
+        "negative column offset": (broken(c=(c, 1, -1)), "outside"),
+        "negative dimension": (broken(k=-1), "outside"),
+        "read-only c": (broken(c=(Buffer(read_only), 1, 1)), "read-only"),
+        # C is c's rows 1:7, columns 1:5.  A at rows 0:6, columns 0:3 or at
+        # rows 1:7, columns 2:5, and B (4 x 3) at rows 3:7, columns 2:5 all
+        # share entries with it.
+        "c overlaps a's block": (broken(a=(c, 0, 0)), "overlaps"),
+        "c overlaps a's last column": (broken(a=(c, 1, 2)), "overlaps"),
+        "c overlaps b's block": (broken(b=(c, 3, 2)), "overlaps"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_blocks()[1]))
+def test_dgemm_rejects_blocks_outside_or_over_its_inputs(case):
+    ok, cases = _bad_blocks()
+    (m, n, k, a, b, c), message = cases[case]
+    buffers = {id(x[0]): x[0] for x in (a, b, c)}.values()
+    before = [x.array.copy() for x in buffers]
+    with pytest.raises(ValueError, match=message):
+        dgemm(m, n, k, -1.0, a, b, 1.0, c, trans_b=True)
+    for x, old in zip(buffers, before):
+        assert np.array_equal(x.array, old)  # NaN-free data: bitwise
+    # The valid call the cases break runs.
+    m, n, k, a, b, c = ok
+    dgemm(m, n, k, -1.0, a, b, 1.0, c, trans_b=True)
+
+
+def test_dgemm_reads_and_writes_apart_blocks_of_one_buffer():
+    # The sketch updates' shapes: the q = b correction reads B[:, 10:12] and
+    # writes B[:, 12:]; the q = 1 downdate reads B.T[10:12] and writes
+    # B.T[12:], row blocks whose memory ranges interleave.
+    rng = np.random.default_rng(4)
+    b_buf, y_buf = _column_major(rng, 5, 40), _column_major(rng, 40, 2)
+    want = b_buf.copy(order="F")
+    gemm(-1.0, want[:, 10:12].copy(order="F"), y_buf[12:, :2], 1.0, want[:, 12:], trans_b=True)
+    bound = Buffer(b_buf)
+    dgemm(5, 28, 2, -1.0, (bound, 0, 10), (Buffer(y_buf), 12, 0), 1.0, (bound, 0, 12), False, True)
+    assert np.array_equal(b_buf, want)
+    bt = b_buf.T.copy(order="F")
+    want = bt.copy(order="F")
+    gemm(-1.0, y_buf[12:, :2], want[10:12].copy(order="F"), 1.0, want[12:])
+    bound = Buffer(bt)
+    dgemm(28, 5, 2, -1.0, (Buffer(y_buf), 12, 0), (bound, 10, 0), 1.0, (bound, 12, 0))
+    assert np.array_equal(bt, want)
+
+
+@pytest.mark.parametrize(
+    "array, message",
+    [
+        (np.zeros((6, 4), dtype=np.float32, order="F"), "float64"),
+        (np.zeros((6, 4)), "column-major"),
+        (np.zeros((8, 8), order="F")[::2], "column-major"),
+    ],
+    ids=["float32", "row-major", "row stride 2"],
+)
+def test_binding_rejects_what_dgemm_cannot_address(array, message):
+    with pytest.raises(ValueError, match=message):
+        Buffer(array)
+
+
+def test_bound_buffers_must_not_overlap():
+    base, other = np.zeros((10, 6), order="F"), np.zeros((2, 2), order="F")
+    require_disjoint(Buffer(base[:, :3]), Buffer(base[:, 3:]), Buffer(other))
+    with pytest.raises(ValueError, match="overlap"):
+        require_disjoint(Buffer(base[:, :3]), Buffer(other), Buffer(base[2:, 2:]))
 
 
 # -- Schur updates -------------------------------------------------------

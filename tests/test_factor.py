@@ -24,6 +24,7 @@ from randldl import (
     generate,
     reconstruct,
 )
+from randldl.core import gemm
 from randldl.factor import _block_multipliers, _Engine
 from randldl.pivot import PivotDecision, PivotKind
 from helpers import random_symmetric, recon_error
@@ -67,9 +68,12 @@ def test_one_by_one_input():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("b,q", [(1, 1), (8, 1), (8, 8), (64, 1), (64, 64)])
 def test_reconstruction_accuracy(strategy, b, q):
-    if strategy != "rcp" and q != 1:
-        pytest.skip("batched column selection applies to the sketched strategy only")
     a = random_symmetric(100, seed=1)
+    if strategy != "rcp" and q != 1:
+        # Batched column selection needs the sketch, which only rcp keeps.
+        with pytest.raises(ValueError, match=f"strategy '{strategy}' keeps no sketch"):
+            factor(a, strategy=strategy, b=b, q=q, p=max(5, q), seed=7)
+        return
     f = factor(a, strategy=strategy, b=b, q=q, p=max(5, q), seed=7)
     assert recon_error(a, f) <= 1e-13
     assert np.array_equal(np.sort(f.perm), np.arange(100))
@@ -538,6 +542,54 @@ def test_panels_read_only_what_they_wrote_in_w(family, overrides, tracked):
     _assert_bitwise_equal(_PoisonedPanelEngine(a, cfg).run(), factor(a, cfg))
 
 
+# -- dgemm blocks ----------------------------------------------------------
+
+
+def _dgemm_on_views(calls):
+    """A stand-in for the engine's dgemm: it cuts each block out of its bound
+    array as a view, checks the view is whole (slicing would silently clip a
+    block that runs past its buffer), and runs gemm on the views.  An input
+    block of the output's buffer is copied first: the sketch downdate's two
+    row blocks of ``B.T`` share no entry, but their memory ranges interleave,
+    which gemm's overlap check refuses."""
+
+    def view(block, rows, cols):
+        buf, i, j = block
+        v = buf.array[i : i + rows, j : j + cols]
+        assert i >= 0 and j >= 0 and v.shape == (rows, cols)
+        return v
+
+    def on_views(m, n, k, alpha, a, b, beta, c, trans_a=False, trans_b=False):
+        calls.append((m, n, k))
+        op_a = view(a, *((k, m) if trans_a else (m, k)))
+        op_b = view(b, *((n, k) if trans_b else (k, n)))
+        if a[0] is c[0]:
+            op_a = op_a.copy(order="F")
+        if b[0] is c[0]:
+            op_b = op_b.copy(order="F")
+        gemm(alpha, op_a, op_b, beta, view(c, m, n), trans_a=trans_a, trans_b=trans_b)
+
+    return on_views
+
+
+@pytest.mark.parametrize("n", [1, 2, 129, 130, 300])
+@pytest.mark.parametrize("overrides", _BUFFER_CONFIGS, ids=str)
+@pytest.mark.parametrize("tracked", [False, True])
+def test_dgemm_offsets_address_the_blocks_views_would(n, overrides, tracked, monkeypatch):
+    # The trailing strips, the sketch downdates and the q = b correction
+    # hand dgemm blocks by offset; gemm on the views those offsets name must
+    # give every result bitwise.  type2 keeps bbk's walks long, so its
+    # panels stay one step wide.
+    extra = dict(audit_sketch=True, track_growth="full") if tracked else {}
+    a = generate(MatrixSpec("type2", n, seed=1)) if n >= 3 else random_symmetric(n, seed=1)
+    cfg = FactorConfig(seed=1, **overrides, **extra)
+    want = factor(a, cfg)
+    calls = []
+    monkeypatch.setattr(sys.modules["randldl.factor"], "dgemm", _dgemm_on_views(calls))
+    _assert_bitwise_equal(factor(a, cfg), want)
+    assert calls or n < 3
+
+
 # -- multipliers ---------------------------------------------------------------
 
 
@@ -802,11 +854,16 @@ def test_config_rejects_cfg_plus_overrides():
         {"b": 0},
         {"q": 3, "b": 8},
         {"q": 8, "b": 8, "p": 5},
+        {"q": 8, "b": 8, "p": 8, "strategy": "bkpp"},
+        {"q": 8, "b": 8, "p": 8, "strategy": "bbk"},
         {"robust_r": -1},
         {"strategy": "newton"},
         {"track_growth": "sometimes"},
     ],
-    ids=["p", "b", "q-not-1-or-b", "p-below-q", "robust_r", "strategy", "tracking"],
+    ids=[
+        "p", "b", "q-not-1-or-b", "p-below-q", "q-without-sketch-bkpp",
+        "q-without-sketch-bbk", "robust_r", "strategy", "tracking",
+    ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
