@@ -53,16 +53,16 @@ multiplies on an m x m block rather than ``t m^2``.  Each strip is one
 BLAS ``dgemm`` (alpha = -1, beta = 1) that writes its columns of ``A`` in
 place through the padded leading dimension, as ``dlasyf`` updates its
 trailing block.  ``A``, ``L``, ``W`` and the sketch are bound once, when
-they are allocated, and each call hands ``core.dgemm`` blocks of them by
-offset, so a one-step panel pays no per-call view checks.  The sketch
-downdates and projections run through the same ``dgemm``, so every large
-product runs on one BLAS thread pool.  The strip products also update the
-upper half of each diagonal strip square, whose values are never used: no
-result depends on the strict upper triangle.  The rare paths that need the
-whole block (the guard's fresh projection, full growth tracking and the
-sketch audit) mirror a copy of it on demand, at the configured ``b`` and
-``q``: a growth snapshot inside a panel subtracts the panel's pending
-update.
+they are allocated, and read back from their ``core.Buffer``; each call
+hands ``core.dgemm`` blocks of them by offset, so a one-step panel pays no
+per-call view checks.  The sketch downdates and projections run through
+the same ``dgemm``, so every large product runs on one BLAS thread pool.
+The strip products also update the upper half of each diagonal strip
+square, whose values are never used: no result depends on the strict
+upper triangle.  The rare paths that need the whole block (the guard's
+fresh projection, full growth tracking and the sketch audit) mirror a
+copy of it on demand, at the configured ``b`` and ``q``: a growth
+snapshot inside a panel subtracts the panel's pending update.
 
 A swap exchanges the rows of ``L`` only over the open block: the columns
 from the first one not yet closed up to k, the current panel among them.
@@ -431,10 +431,11 @@ class _Engine:
         # the transpose are A column-major, each column _PAD entries apart.
         padded = np.empty((n, n + _PAD))
         padded[:, :n] = a
-        self.A = padded.T[:n]
-        self.L = np.eye(n, order="F")
-        # Each buffer that dgemm reads or writes is bound once, as it is made.
-        self.buf_A, self.buf_L = Buffer(self.A, "A"), Buffer(self.L, "L")
+        # Each buffer that dgemm reads or writes is bound once, as it is
+        # made, and read back from its Buffer (the A, L and B properties),
+        # so the array and the pointer BLAS writes through cannot drift apart.
+        self.buf_A = Buffer(padded.T[:n], "A")
+        self.buf_L = Buffer(np.eye(n, order="F"), "L")
         self.perm = identity_permutation(n)
         # L's rows follow every swap over columns open0:k only; each closed
         # block (c0, c1, perm[c1:] when it closed) is gathered once by run.
@@ -453,14 +454,23 @@ class _Engine:
         self.strategy = cfg.strategy
         self.alpha = SBKP_ALPHA if self.strategy is Strategy.RCP else BK_ALPHA
 
-        # The sketch B = Omega A exists for rcp only.  Every Omega, including
-        # the guard's fresh ones, comes from one Philox stream, so a run is
-        # reproducible given the seed.  With q = 1, B is row-major: a step's
-        # norms sum B's rows where they lie, with no copy, and its downdate
-        # is one tall dgemm on the column-major B.T.  With q = b, B is
-        # column-major, so the panel correction keeps the operand order, and
-        # the rounding, it has always had.
-        self.B: np.ndarray | None = None
+        # Panel state, re-initialized by each _run_panel call.  W holds the
+        # panel's pivot columns, column t from row k - k0 down, as the step
+        # that eliminated them left them.  Every read takes rows >= k - k0 of
+        # columns < t, all written by then, so each panel takes a view of one
+        # buffer without clearing it.  The padded leading dimension keeps W's
+        # rows, which swaps, column forming and the strips read, off 4 KiB
+        # strides, as for A.
+        self.k0 = 0
+        self.t = 0
+        self.buf_W = Buffer(np.empty((n + _PAD, min(cfg.b + 1, n)), order="F"), "W")
+        self.W = self.buf_W.array
+        require_disjoint(self.buf_A, self.buf_L, self.buf_W)
+
+        # The sketch B = Omega A exists for rcp only (see the B property).
+        # Every Omega, including the guard's fresh ones, comes from one
+        # Philox stream, so a run is reproducible given the seed.
+        self.buf_B: Buffer | None = None
         self.omega: np.ndarray | None = None
         self.p = cfg.p
         self.recompute_count = 0
@@ -468,9 +478,6 @@ class _Engine:
             self.rng = np.random.Generator(np.random.Philox(cfg.seed))
             self.omega = self.rng.standard_normal((cfg.p, n))
             self.B = self._project(self.omega, self.A)
-            if cfg.q > 1:
-                self.B = np.asfortranarray(self.B)
-            self.buf_B = Buffer(self.B.T if cfg.q == 1 else self.B, "B")
             if not cfg.audit_sketch:
                 self.omega = None
 
@@ -486,24 +493,46 @@ class _Engine:
         self.drift: list[float] | None = [] if self.omega is not None else None
         self.input_norm_12 = norm_1_2(self.A) if self.omega is not None else 0.0
         self.terminated = False
-
-        # Panel state, re-initialized by each _run_panel call.  W holds the
-        # panel's pivot columns, column t from row k - k0 down, as the step
-        # that eliminated them left them.  Every read takes rows >= k - k0 of
-        # columns < t, all written by then, so each panel takes a view of one
-        # buffer without clearing it.  The padded leading dimension keeps W's
-        # rows, which swaps, column forming and the strips read, off 4 KiB
-        # strides, as for A.
-        self.k0 = 0
-        self.t = 0
-        self.W = self.w_buf = np.empty((n + _PAD, min(cfg.b + 1, n)), order="F")
-        self.buf_W = Buffer(self.w_buf, "W")
-        sketch = (self.buf_B,) if self.B is not None else ()
-        require_disjoint(self.buf_A, self.buf_L, self.buf_W, *sketch)
         # Whether the last step's rook walk ran long: past _ROOK_HOPS columns,
         # or deferred for want of a table; a step with no walk clears it.  A
         # long walk ends its panel, so only a panel's first step sees it set.
         self.last_walk_long = False
+
+    # -- bound buffers ---------------------------------------------------
+
+    @property
+    def A(self) -> np.ndarray:
+        """The padded working copy, column-major; its lower triangle is live."""
+        return self.buf_A.array
+
+    @property
+    def L(self) -> np.ndarray:
+        return self.buf_L.array
+
+    @property
+    def B(self) -> np.ndarray | None:
+        """The p x n sketch, or None without one.
+
+        With q = 1, B is row-major: a step's norms sum B's rows where they
+        lie, with no copy, and its downdate is one tall dgemm on the bound
+        column-major B.T.  With q = b, B is column-major and bound as it
+        is, so the panel correction keeps the operand order, and the
+        rounding, it has always had.
+        """
+        buf = self.buf_B
+        if buf is None:
+            return None
+        return buf.array.T if self.cfg.q == 1 else buf.array
+
+    @B.setter
+    def B(self, b: np.ndarray) -> None:
+        """Bind a sketch of any layout, copied into the one above if it differs."""
+        if self.cfg.q == 1:
+            buf = Buffer(np.ascontiguousarray(b).T, "B")
+        else:
+            buf = Buffer(np.asfortranarray(b), "B")
+        require_disjoint(self.buf_A, self.buf_L, self.buf_W, buf)
+        self.buf_B = buf
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -517,8 +546,9 @@ class _Engine:
             exchange(self.L[i, self.open0 : k], self.L[j, self.open0 : k])
         if t:
             exchange(self.W[i - self.k0, :t], self.W[j - self.k0, :t])
-        if self.B is not None:
-            exchange(self.B[:, i], self.B[:, j])
+        b = self.B
+        if b is not None:
+            exchange(b[:, i], b[:, j])
         if self.omega is not None:
             exchange(self.omega[:, i], self.omega[:, j])
         self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
@@ -731,7 +761,7 @@ class _Engine:
                 self.counters.divs += 2 * w
                 self.counters.mults += 4 * w + 2
                 self.counters.adds += 2 * w + 1
-        if self.B is not None and self.cfg.q == 1 and w > 0:
+        if self.buf_B is not None and self.cfg.q == 1 and w > 0:
             # B[:, k+s:] -= B[:, k:k+s] @ lcols.T, in place on the bound B.T
             # as B.T[k+s:] -= lcols @ B.T[k:k+s], with lcols read back from L.
             dgemm(
@@ -816,10 +846,10 @@ class _Engine:
         width = min(self.cfg.b, n - k0)
         self.t = 0
         self.cols.clear()
-        batch = self.B is not None and self.cfg.q > 1
+        batch = self.buf_B is not None and self.cfg.q > 1
         if batch and n - k0 > 1 and self._panel_preselect(width) == "stop":
             return
-        self.W = self.w_buf[: n - k0, : min(width + 1, n - k0)]
+        self.W = self.buf_W.array[: n - k0, : min(width + 1, n - k0)]
         while self.k < n and self.t < width:
             if self._step(width) != "ok":
                 break
@@ -864,7 +894,7 @@ class _Engine:
         self.cols.clear()
         if self.snapshots is not None:
             self._snapshot()
-        if self.B is not None and self.cfg.q == 1 and m > 1:
+        if self.buf_B is not None and self.cfg.q == 1 and m > 1:
             status, j = self._sketch_pivot()
             if status != "ok":
                 return status

@@ -521,7 +521,7 @@ class _PoisonedPanelEngine(_Engine):
     an entry the current panel has not written shows in every result."""
 
     def _run_panel(self):
-        self.w_buf.fill(np.nan)
+        self.buf_W.array.fill(np.nan)
         super()._run_panel()
 
 

@@ -1,5 +1,7 @@
 """Gaussian sketching inside factor: reproducible draws, downdates, column selection."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -66,12 +68,30 @@ def test_sketch_pivot_is_scale_invariant(e):
 # -- downdates and recomputation ------------------------------------------
 
 
+def test_sketch_downdate_lands_in_any_layout():
+    # A sketch assigned after set-up is bound for dgemm, copied into the
+    # engine's layout if it is in another; either way every downdate and
+    # correction must reach B.
+    a = random_symmetric(40, seed=3)
+    for q, order in itertools.product((1, 4), "CF"):
+        cfg = FactorConfig(p=4, b=4, q=q, seed=2)
+        plain = _Engine(a, cfg)
+        want = plain.run()
+        engine = _Engine(a, cfg)
+        engine.B = np.array(engine.B, order=order)
+        got = engine.run()
+        assert np.shares_memory(engine.B, engine.buf_B.array)
+        assert np.array_equal(engine.B, plain.B)
+        assert np.array_equal(got.perm, want.perm)
+        assert np.array_equal(got.L, want.L)
+
+
 def test_update_sketch_known_value():
     # One 1x1 step on the 4 gives l21 = [1, -1], so the downdate
     # b2 - b1 @ l21.T turns b1 = [[-6]], b2 = [[3, 5]] into [[9, -1]].
     a = np.array([[4.0, 4.0, -4.0], [4.0, 9.0, -1.0], [-4.0, -1.0, 9.0]])
     engine = _Engine(a, FactorConfig(p=1, b=1, seed=0))
-    engine.B[...] = [[-6.0, 3.0, 5.0]]  # in place: dgemm writes the bound sketch
+    engine.B = np.array([[-6.0, 3.0, 5.0]])
     engine._run_panel()  # one panel of width b=1 is one step
     assert engine.k == 1
     assert np.array_equal(engine.perm, [0, 1, 2])
