@@ -454,19 +454,6 @@ class _Engine:
         self.strategy = cfg.strategy
         self.alpha = SBKP_ALPHA if self.strategy is Strategy.RCP else BK_ALPHA
 
-        # Panel state, re-initialized by each _run_panel call.  W holds the
-        # panel's pivot columns, column t from row k - k0 down, as the step
-        # that eliminated them left them.  Every read takes rows >= k - k0 of
-        # columns < t, all written by then, so each panel takes a view of one
-        # buffer without clearing it.  The padded leading dimension keeps W's
-        # rows, which swaps, column forming and the strips read, off 4 KiB
-        # strides, as for A.
-        self.k0 = 0
-        self.t = 0
-        self.buf_W = Buffer(np.empty((n + _PAD, min(cfg.b + 1, n)), order="F"), "W")
-        self.W = self.buf_W.array
-        require_disjoint(self.buf_A, self.buf_L, self.buf_W)
-
         # The sketch B = Omega A exists for rcp only (see the B property).
         # Every Omega, including the guard's fresh ones, comes from one
         # Philox stream, so a run is reproducible given the seed.
@@ -493,6 +480,22 @@ class _Engine:
         self.drift: list[float] | None = [] if self.omega is not None else None
         self.input_norm_12 = norm_1_2(self.A) if self.omega is not None else 0.0
         self.terminated = False
+
+        # Panel state, re-initialized by each _run_panel call.  W holds the
+        # panel's pivot columns, column t from row k - k0 down, as the step
+        # that eliminated them left them.  Every read takes rows >= k - k0 of
+        # columns < t, all written by then, so each panel takes a view of one
+        # buffer without clearing it.  The padded leading dimension keeps W's
+        # rows, which swaps, column forming and the strips read, off 4 KiB
+        # strides, as for A.  W is allocated after the sketch: allocated
+        # first, it left the heap laid out otherwise, and the 64-column
+        # solves timed after a q = b factor ran about 4 % slower.
+        self.k0 = 0
+        self.t = 0
+        self.buf_W = Buffer(np.empty((n + _PAD, min(cfg.b + 1, n)), order="F"), "W")
+        self.W = self.buf_W.array
+        sketch = (self.buf_B,) if self.buf_B is not None else ()
+        require_disjoint(self.buf_A, self.buf_L, self.buf_W, *sketch)
         # Whether the last step's rook walk ran long: past _ROOK_HOPS columns,
         # or deferred for want of a table; a step with no walk clears it.  A
         # long walk ends its panel, so only a panel's first step sees it set.
@@ -531,7 +534,9 @@ class _Engine:
             buf = Buffer(np.ascontiguousarray(b).T, "B")
         else:
             buf = Buffer(np.asfortranarray(b), "B")
-        require_disjoint(self.buf_A, self.buf_L, self.buf_W, buf)
+        # __init__ binds the first sketch before W and checks W against it.
+        bound = (self.buf_A, self.buf_L, getattr(self, "buf_W", None))
+        require_disjoint(*(x for x in bound if x is not None), buf)
         self.buf_B = buf
 
     # -- bookkeeping ---------------------------------------------------
