@@ -548,11 +548,12 @@ class _Engine:
         k, t = self.k, self.t
         sym_swap(self.A[k:, k:], i - k, j - k)
         if k > self.open0:
-            exchange(self.L[i, self.open0 : k], self.L[j, self.open0 : k])
+            L = self.L
+            exchange(L[i, self.open0 : k], L[j, self.open0 : k])
         if t:
             exchange(self.W[i - self.k0, :t], self.W[j - self.k0, :t])
-        b = self.B
-        if b is not None:
+        if self.buf_B is not None:
+            b = self.B
             exchange(b[:, i], b[:, j])
         if self.omega is not None:
             exchange(self.omega[:, i], self.omega[:, j])
@@ -571,8 +572,8 @@ class _Engine:
 
         Always a new array: the step's cache exchanges its entries in place.
         """
-        k, t = self.k, self.t
-        c = np.concatenate((self.A[j, k:j], self.A[j:, j])) if j > k else self.A[k:, k]
+        k, t, A = self.k, self.t, self.A
+        c = np.concatenate((A[j, k:j], A[j:, j])) if j > k else A[k:, k]
         if t:
             return c - self.L[k:, self.k0 : self.k0 + t] @ self.W[j - self.k0, :t]
         return c if j > k else c.copy()
