@@ -20,11 +20,11 @@ Conventions used throughout the package:
 * Every level-3 product of the factorization runs on SciPy's BLAS, through
   one ``dgemm`` entry, in place, through the leading dimensions, as LAPACK
   ``dlasyf`` updates its trailing block.  A column-major buffer is checked
-  once, when it is bound as a ``Buffer``; ``dgemm`` then takes blocks of
-  bound buffers by offset and checks only, in plain ints, that each block
-  lies inside its buffer and that the output is writeable and shares no
-  entry with an input.  ``gemm`` is the same call on views, checked in
-  full on every call.  NumPy and SciPy each load their own OpenBLAS with
+  once, when it is bound as a ``Buffer``, and ``require_disjoint`` checks
+  that no two bound buffers overlap; ``dgemm`` then takes blocks of bound
+  buffers by offset and checks only, in plain ints, that each block lies
+  inside its buffer and that the output is writeable and shares no entry
+  with an input.  NumPy and SciPy each load their own OpenBLAS with
   its own thread pool; large products on both make one pool's idle
   workers spin while the other's run.
 """
@@ -47,6 +47,9 @@ __all__ = [
     "sym_swap",
     "mirror_lower",
     "column_norms",
+    "Buffer",
+    "require_disjoint",
+    "dgemm",
 ]
 
 
@@ -153,8 +156,8 @@ def mirror_lower(a: np.ndarray) -> np.ndarray:
 _TINY_SUM = 2.0**-900
 
 
-def column_norms(m: np.ndarray, from_col: int = 0) -> np.ndarray:
-    """Euclidean norms of columns ``from_col:`` of ``m``.
+def column_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of ``m``.
 
     The squares are summed as the entries stand.  If the largest sum
     overflowed or lies near the subnormal range, they are summed again at
@@ -166,19 +169,16 @@ def column_norms(m: np.ndarray, from_col: int = 0) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("column_norms expects a 2-D array")
-    if not (0 <= from_col <= m.shape[1]):
-        raise ValueError(f"from_col={from_col} out of range for {m.shape[1]} columns")
-    block = m[:, from_col:]
-    if block.size == 0:
-        return np.zeros(block.shape[1])
-    sums = _sums_of_squares(block)
+    if m.size == 0:
+        return np.zeros(m.shape[1])
+    sums = _sums_of_squares(m)
     if _TINY_SUM <= sums[sums.argmax()] < math.inf:
         return np.sqrt(sums, out=sums)
-    top = float(np.abs(block).max())
+    top = float(np.abs(m).max())
     if top == 0.0 or not math.isfinite(top):
         return np.sqrt(sums, out=sums)
     e = math.frexp(top)[1]
-    return np.ldexp(np.sqrt(_sums_of_squares(np.ldexp(block, -e))), e)
+    return np.ldexp(np.sqrt(_sums_of_squares(np.ldexp(m, -e))), e)
 
 
 def _sums_of_squares(block: np.ndarray) -> np.ndarray:
@@ -312,34 +312,3 @@ def dgemm(
         bbuf.ptr + 8 * (bi + bj * bbuf.ld), bbuf.ld_c,
         f(beta), cbuf.ptr + 8 * (ci + cj * cbuf.ld), cbuf.ld_c,
     )
-
-
-def gemm(
-    alpha: float,
-    a: np.ndarray,
-    b: np.ndarray,
-    beta: float,
-    c: np.ndarray,
-    trans_a: bool = False,
-    trans_b: bool = False,
-) -> None:
-    """``c = alpha * op(a) @ op(b) + beta * c`` in place, by BLAS ``dgemm``.
-
-    ``op(x)`` is ``x.T`` if its ``trans_`` flag is set, else ``x``.  Every
-    operand is a float64 column-major view: unit row stride and a column
-    stride of at least its row count, handed to BLAS as the leading
-    dimension, so ``c`` may be a block of a larger, padded array.  Each view
-    is bound as a :class:`Buffer` and the product runs through
-    :func:`dgemm`.  Any other operand, a read-only ``c``, a ``c`` that may
-    overlap an input, or shapes that do not conform raise ``ValueError``
-    before a pointer reaches BLAS.  With ``beta = 0`` the old values of
-    ``c`` are not read.
-    """
-    ba, bb, bc = Buffer(a, "a"), Buffer(b, "b"), Buffer(c, "c")
-    m, k = a.shape[::-1] if trans_a else a.shape
-    kb, n = b.shape[::-1] if trans_b else b.shape
-    if kb != k or c.shape != (m, n):
-        raise ValueError(f"gemm: shapes {a.shape}, {b.shape} and {c.shape} do not conform")
-    if np.may_share_memory(c, a) or np.may_share_memory(c, b):
-        raise ValueError("gemm: c may overlap an input")
-    dgemm(m, n, k, alpha, (ba, 0, 0), (bb, 0, 0), beta, (bc, 0, 0), trans_a, trans_b)

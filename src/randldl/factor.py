@@ -55,8 +55,9 @@ place through the padded leading dimension, as ``dlasyf`` updates its
 trailing block.  ``A``, ``L``, ``W`` and the sketch are bound once, when
 they are allocated, and read back from their ``core.Buffer``; each call
 hands ``core.dgemm`` blocks of them by offset, so a one-step panel pays no
-per-call view checks.  The sketch downdates and projections run through
-the same ``dgemm``, so every large product runs on one BLAS thread pool.
+per-call view checks.  The sketch is row-major p x n, bound as its
+transpose; its downdates and projections run through the same ``dgemm``,
+so every large product runs on one BLAS thread pool.
 The strip products also update the upper half of each diagonal strip
 square, whose values are never used: no result depends on the strict
 upper triangle.  The rare paths that need the whole block (the guard's
@@ -83,8 +84,7 @@ diagonal entry.  The cost model charges every use as a formation.
 The q = 1 sketch norms come from ``column_norms``, which sums the squares
 as they stand and rescales by a power of two only when the largest sum
 overflows or nears the subnormal range, so ``2**e * A`` selects as ``A``
-does.  The q = 1 sketch is kept row-major, so the sums run over its rows
-in place.
+does; the sums run over the sketch's rows in place.
 
 A guarded mode watches the selected sketch column norm; when it falls below
 ``eps**delta * beta`` (``beta`` being the initial sketch norm), the sketch is
@@ -111,7 +111,6 @@ from .core import (
     column_norms,
     dgemm,
     exchange,
-    gemm,
     identity_permutation,
     mirror_lower,
     require_disjoint,
@@ -464,7 +463,7 @@ class _Engine:
         if self.strategy is Strategy.RCP:
             self.rng = np.random.Generator(np.random.Philox(cfg.seed))
             self.omega = self.rng.standard_normal((cfg.p, n))
-            self.B = self._project(self.omega, self.A)
+            self.buf_B = Buffer(self._project(self.omega, self.A).T, "B")
             if not cfg.audit_sketch:
                 self.omega = None
 
@@ -483,17 +482,16 @@ class _Engine:
 
         # Panel state, re-initialized by each _run_panel call.  W holds the
         # panel's pivot columns, column t from row k - k0 down, as the step
-        # that eliminated them left them.  Every read takes rows >= k - k0 of
-        # columns < t, all written by then, so each panel takes a view of one
-        # buffer without clearing it.  The padded leading dimension keeps W's
-        # rows, which swaps, column forming and the strips read, off 4 KiB
-        # strides, as for A.  W is allocated after the sketch: allocated
-        # first, it left the heap laid out otherwise, and the 64-column
-        # solves timed after a q = b factor ran about 4 % slower.
+        # that eliminated them left them.  Every read takes rows k - k0 to
+        # n - k0 of columns < t, all written by then, so each panel reuses
+        # one buffer without clearing it.  The padded leading dimension
+        # keeps W's rows, which swaps, column forming and the strips read,
+        # off 4 KiB strides, as for A.  W is allocated after the sketch:
+        # allocated first, it left the heap laid out otherwise, and the
+        # 64-column solves timed after a q = b factor ran about 4 % slower.
         self.k0 = 0
         self.t = 0
         self.buf_W = Buffer(np.empty((n + _PAD, min(cfg.b + 1, n)), order="F"), "W")
-        self.W = self.buf_W.array
         sketch = (self.buf_B,) if self.buf_B is not None else ()
         require_disjoint(self.buf_A, self.buf_L, self.buf_W, *sketch)
         # Whether the last step's rook walk ran long: past _ROOK_HOPS columns,
@@ -513,31 +511,13 @@ class _Engine:
         return self.buf_L.array
 
     @property
+    def W(self) -> np.ndarray:
+        return self.buf_W.array
+
+    @property
     def B(self) -> np.ndarray | None:
-        """The p x n sketch, or None without one.
-
-        With q = 1, B is row-major: a step's norms sum B's rows where they
-        lie, with no copy, and its downdate is one tall dgemm on the bound
-        column-major B.T.  With q = b, B is column-major and bound as it
-        is, so the panel correction keeps the operand order, and the
-        rounding, it has always had.
-        """
-        buf = self.buf_B
-        if buf is None:
-            return None
-        return buf.array.T if self.cfg.q == 1 else buf.array
-
-    @B.setter
-    def B(self, b: np.ndarray) -> None:
-        """Bind a sketch of any layout, copied into the one above if it differs."""
-        if self.cfg.q == 1:
-            buf = Buffer(np.ascontiguousarray(b).T, "B")
-        else:
-            buf = Buffer(np.asfortranarray(b), "B")
-        # __init__ binds the first sketch before W and checks W against it.
-        bound = (self.buf_A, self.buf_L, getattr(self, "buf_W", None))
-        require_disjoint(*(x for x in bound if x is not None), buf)
-        self.buf_B = buf
+        """The p x n sketch, row-major (its Buffer binds B.T), or None without one."""
+        return None if self.buf_B is None else self.buf_B.array.T
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -553,8 +533,7 @@ class _Engine:
         if t:
             exchange(self.W[i - self.k0, :t], self.W[j - self.k0, :t])
         if self.buf_B is not None:
-            b = self.B
-            exchange(b[:, i], b[:, j])
+            exchange(self.B[:, i], self.B[:, j])
         if self.omega is not None:
             exchange(self.omega[:, i], self.omega[:, j])
         self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
@@ -646,12 +625,14 @@ class _Engine:
 
         It is formed as ``(a.T @ omega.T).T``, the call NumPy's ``omega @ a``
         makes: OpenBLAS runs that tall product faster than the wide one (4.7
-        against 6.1 ms at n = 2048, p = 5).  Its operands are new arrays or
-        views, so it goes through ``core.gemm``, which binds them and calls
-        the same ``dgemm``.
+        against 6.1 ms at n = 2048, p = 5).
         """
-        out_t = np.empty((a.shape[1], omega.shape[0]), order="F")
-        gemm(1.0, a, omega.T, 0.0, out_t, trans_a=True)
+        (p, k), m = omega.shape, a.shape[1]
+        out_t = np.empty((m, p), order="F")
+        dgemm(
+            m, p, k, 1.0, (Buffer(a, "a"), 0, 0), (Buffer(omega.T, "omega.T"), 0, 0),
+            0.0, (Buffer(out_t, "out"), 0, 0), trans_a=True,
+        )
         return out_t.T
 
     def _sketch_pivot(self) -> tuple[str, int]:
@@ -665,7 +646,7 @@ class _Engine:
         is k unless the status is "ok".
         """
         k, m = self.k, self.n - self.k
-        norms = column_norms(self.B, from_col=k)
+        norms = column_norms(self.B[:, k:])
         j = int(norms.argmax())
         self.counters.comps += m - 1
         self._charge(self.p * (m - 1))
@@ -680,7 +661,7 @@ class _Engine:
         self.recompute_count += 1
         self.delta += 1.0 / self.cfg.robust_r
         self.threshold = _EPS**self.delta
-        norms = column_norms(self.B, from_col=k)
+        norms = column_norms(self.B[:, k:])
         j = int(norms.argmax())
         if norms[j] < self.threshold * self.beta:
             self._terminate_deficient()
@@ -749,7 +730,7 @@ class _Engine:
         lcols, dblock, lmax = _block_multipliers(c0, c1, k, self.alpha)
         self.L[k + s :, k : k + s] = lcols
         self.max_multiplier = max(self.max_multiplier, lmax)
-        w_rows = slice(k - self.k0, None)
+        w_rows = slice(k - self.k0, n - self.k0)
         self.W[w_rows, self.t] = c0
         if s == 2:
             self.W[w_rows, self.t + 1] = c1
@@ -792,10 +773,10 @@ class _Engine:
         """
         if len(self.snapshots) > len(self.blocks):
             return
-        k, k0, t = self.k, self.k0, self.t
+        k, k0, t, n = self.k, self.k0, self.t, self.n
         sub = self.A[k:, k:].copy()
         if t:
-            sub -= self.L[k:, k0 : k0 + t] @ self.W[k - k0 :, :t].T
+            sub -= self.L[k:, k0 : k0 + t] @ self.W[k - k0 : n - k0, :t].T
         mirror_lower(sub)
         self.snapshots.append((norm_1_inf(sub), float(column_norms(sub).max())))
 
@@ -855,24 +836,23 @@ class _Engine:
         batch = self.buf_B is not None and self.cfg.q > 1
         if batch and n - k0 > 1 and self._panel_preselect(width) == "stop":
             return
-        self.W = self.buf_W.array[: n - k0, : min(width + 1, n - k0)]
         while self.k < n and self.t < width:
             if self._step(width) != "ok":
                 break
         self._apply_trailing()
         k, t = self.k, self.t
         if batch and t > 0 and k < n:
-            # One correction per panel: B(:,trail) -= B(:,panel) Lpp^-T Ltp^T.
-            ltp = self.L[k:, k0:k]
+            # One correction per panel: B(:,trail) -= B(:,panel) Lpp^-T Ltp^T,
+            # on the bound B.T as B.T[k:] -= z.T @ B.T[k0:k].
             z = solve_triangular(
-                self.L[k0:k, k0:k], ltp.T, lower=True, unit_diagonal=True, trans="T"
+                self.L[k0:k, k0:k], self.L[k:, k0:k].T, lower=True, unit_diagonal=True, trans="T"
             )
             dgemm(
-                self.p, n - k, t,
-                -1.0, (self.buf_B, 0, k0), (Buffer(z, "z"), 0, 0), 1.0, (self.buf_B, 0, k),
+                n - k, self.p, t,
+                -1.0, (Buffer(z, "z"), 0, 0), (self.buf_B, k0, 0), 1.0, (self.buf_B, k, 0),
+                trans_a=True,
             )
-            w = n - k
-            self._charge(t * self.p * w + (t * (t - 1) // 2) * w)
+            self._charge((t * self.p + t * (t - 1) // 2) * (n - k))
         if self.drift is not None and t > 0:
             self._record_drift()
         if k - self.open0 >= max(self.cfg.b, _CLOSE):

@@ -36,7 +36,7 @@ def reference_partial_qrcp(b: np.ndarray, q: int) -> list[int]:
     cols = np.arange(m)
     selected: list[int] = []
     for k in range(q):
-        norms = column_norms(b[k:, :], from_col=k)
+        norms = column_norms(b[k:, k:])
         j = k + int(np.argmax(norms))
         if j != k:
             b[:, [k, j]] = b[:, [j, k]]

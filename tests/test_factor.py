@@ -24,7 +24,7 @@ from randldl import (
     generate,
     reconstruct,
 )
-from randldl.core import gemm
+from randldl.core import Buffer, dgemm
 from randldl.factor import _block_multipliers, _Engine
 from randldl.pivot import PivotDecision, PivotKind
 from helpers import random_symmetric, recon_error
@@ -548,26 +548,20 @@ def test_panels_read_only_what_they_wrote_in_w(family, overrides, tracked):
 def _dgemm_on_views(calls):
     """A stand-in for the engine's dgemm: it cuts each block out of its bound
     array as a view, checks the view is whole (slicing would silently clip a
-    block that runs past its buffer), and runs gemm on the views.  An input
-    block of the output's buffer is copied first: the sketch downdate's two
-    row blocks of ``B.T`` share no entry, but their memory ranges interleave,
-    which gemm's overlap check refuses."""
+    block that runs past its buffer), binds each view as a Buffer of its own
+    and runs dgemm on them at offset (0, 0)."""
 
     def view(block, rows, cols):
         buf, i, j = block
         v = buf.array[i : i + rows, j : j + cols]
         assert i >= 0 and j >= 0 and v.shape == (rows, cols)
-        return v
+        return Buffer(v), 0, 0
 
     def on_views(m, n, k, alpha, a, b, beta, c, trans_a=False, trans_b=False):
         calls.append((m, n, k))
         op_a = view(a, *((k, m) if trans_a else (m, k)))
         op_b = view(b, *((n, k) if trans_b else (k, n)))
-        if a[0] is c[0]:
-            op_a = op_a.copy(order="F")
-        if b[0] is c[0]:
-            op_b = op_b.copy(order="F")
-        gemm(alpha, op_a, op_b, beta, view(c, m, n), trans_a=trans_a, trans_b=trans_b)
+        dgemm(m, n, k, alpha, op_a, op_b, beta, view(c, m, n), trans_a, trans_b)
 
     return on_views
 
@@ -576,10 +570,10 @@ def _dgemm_on_views(calls):
 @pytest.mark.parametrize("overrides", _BUFFER_CONFIGS, ids=str)
 @pytest.mark.parametrize("tracked", [False, True])
 def test_dgemm_offsets_address_the_blocks_views_would(n, overrides, tracked, monkeypatch):
-    # The trailing strips, the sketch downdates and the q = b correction
-    # hand dgemm blocks by offset; gemm on the views those offsets name must
-    # give every result bitwise.  type2 keeps bbk's walks long, so its
-    # panels stay one step wide.
+    # The trailing strips, the sketch downdates, the q = b correction and
+    # the projections hand dgemm blocks by offset; dgemm on the views those
+    # offsets name must give every result bitwise.  type2 keeps bbk's walks
+    # long, so its panels stay one step wide.
     extra = dict(audit_sketch=True, track_growth="full") if tracked else {}
     a = generate(MatrixSpec("type2", n, seed=1)) if n >= 3 else random_symmetric(n, seed=1)
     cfg = FactorConfig(seed=1, **overrides, **extra)

@@ -18,8 +18,8 @@ def test_pivot_digest_quick_grid():
     )
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
-    # 4 families x 2 sizes x 3 seeds x 8 configurations, each printed once.
-    assert len(rows) == 192
+    # 4 families x 2 sizes x 3 seeds x 9 configurations, each printed once.
+    assert len(rows) == 216
     keys = {(r["family"], r["n"], r["seed"], r["config"]) for r in rows}
     assert len(keys) == len(rows)
     # A change to the guard shows up in the same diff as a change of pivots.
@@ -35,12 +35,21 @@ def test_pivot_digest_quick_grid():
     # reconstruction residual are not.  D has a digest of its own.
     assert all(len(r["L"]) == len(r["D"]) == 16 for r in rows)
     assert all(0.0 <= r["residual"] <= 1e-10 for r in rows)
-    # On the full-rank families, blocked and unblocked runs pick the same pivots.
-    pivots = defaultdict(dict)
+    # Only the audited runs digest their sketch drift; bkpp and bbk keep no
+    # sketch.  The audit changes nothing else.
+    assert all((r["drift"] is None) is (r["config"] != "audit") for r in rows)
+    by_case = defaultdict(dict)
     for r in rows:
-        pivots[r["family"], r["n"], r["seed"]][r["config"]] = (r["perm"], r["pattern"])
-    for (family, _, _), by_config in pivots.items():
+        by_case[r["family"], r["n"], r["seed"]][r["config"]] = r
+    for case in by_case.values():
+        audit, plain = dict(case["audit"]), dict(case["rcp"])
+        for r in (audit, plain):
+            del r["config"], r["drift"]
+        assert audit == plain
+    # On the full-rank families, blocked and unblocked runs pick the same pivots.
+    for (family, _, _), case in by_case.items():
         if family == "type10":
             continue
         for group in (("rcp", "b=1", "b=7"), ("bbk", "bbk b=1", "bbk b=7")):
-            assert len({by_config[c] for c in group}) == 1, (family, group)
+            pivots = {(case[c]["perm"], case[c]["pattern"]) for c in group}
+            assert len(pivots) == 1, (family, group)

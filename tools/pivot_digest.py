@@ -14,10 +14,12 @@ layout) and ``D`` (its blocks' entries in order), ``max |L|`` (printed
 with ``repr``, so it compares bitwise), the reconstruction residual
 ``max |A[p][:, p] - L D L^T| / max |A|``, the guard's ``recompute_count``
 and ``deficient_from``, digests of ``solve(f, b).x`` and of a 3-column
-``solve_many``, and ``solve``'s ``singular`` flag.  The right-hand sides
-are drawn from Philox(seed) with a first row of -0.0, which a digest tells
-from 0.0.  ``max |L|`` does not see the order of L's rows; the ``L``
-digest and the residual do.  The grid is type2, type6, type10 and
+``solve_many``, ``solve``'s ``singular`` flag, and ``drift``, a digest of
+``stats.sketch_drift`` (null unless the run audited its sketch, as only
+the ``audit`` configuration does).  The right-hand sides are drawn from
+Philox(seed) with a first row of -0.0, which a digest tells from 0.0.
+``max |L|`` does not see the order of L's rows; the ``L`` digest and the
+residual do.  The grid is type2, type6, type10 and
 ``type6-padded`` (type6 of order n - 3 bordered by 3 zero rows and
 columns, so exactly singular) at n in {64, 300, 1024}, seeds 0-2, under
 the configurations named in ``CONFIGS``; ``--quick`` keeps n <= 300.
@@ -48,6 +50,7 @@ CONFIGS = {
     "b=7": {"b": 7},
     "bbk b=1": {"strategy": "bbk", "b": 1},
     "bbk b=7": {"strategy": "bbk", "b": 7},
+    "audit": {"audit_sketch": True},
 }
 
 
@@ -82,6 +85,9 @@ def main(argv: list[str] | None = None) -> int:
                     counters = json.dumps(dataclasses.asdict(f.stats.counters), sort_keys=True)
                     residual = np.abs(a[np.ix_(f.perm, f.perm)] - reconstruct(f)).max()
                     report = solve(f, rhs[:, 0])
+                    drift = f.stats.sketch_drift
+                    if drift is not None:
+                        drift = digest(np.array(drift, dtype=np.float64).tobytes())
                     row = {
                         "family": family,
                         "n": n,
@@ -99,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
                         "x": digest(report.x.tobytes()),
                         "x_many": digest(np.ascontiguousarray(solve_many(f, rhs[:, 1:])).tobytes()),
                         "singular": report.singular,
+                        "drift": drift,
                     }
                     print(json.dumps(row), flush=True)
     return 0
