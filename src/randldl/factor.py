@@ -431,7 +431,7 @@ class _Engine:
         padded = np.empty((n, n + _PAD))
         padded[:, :n] = a
         # Each buffer that dgemm reads or writes is bound once, as it is
-        # made, and read back from its Buffer (the A, L and B properties),
+        # made, and read back from its Buffer (the A, L, W and B properties),
         # so the array and the pointer BLAS writes through cannot drift apart.
         self.buf_A = Buffer(padded.T[:n], "A")
         self.buf_L = Buffer(np.eye(n, order="F"), "L")
@@ -533,7 +533,8 @@ class _Engine:
         if t:
             exchange(self.W[i - self.k0, :t], self.W[j - self.k0, :t])
         if self.buf_B is not None:
-            exchange(self.B[:, i], self.B[:, j])
+            b = self.B
+            exchange(b[:, i], b[:, j])
         if self.omega is not None:
             exchange(self.omega[:, i], self.omega[:, j])
         self.perm[i], self.perm[j] = self.perm[j], self.perm[i]

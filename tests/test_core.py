@@ -170,6 +170,18 @@ def test_column_norms_huge_entries_do_not_overflow():
     assert np.allclose(column_norms(m), [1e160 * np.sqrt(2.0)], rtol=1e-15)
 
 
+@pytest.mark.parametrize("k", [0, 3, 8])
+def test_column_norms_same_bits_in_any_layout(k):
+    # The engine hands column_norms the row-major view B[:, k:], read in
+    # place; a column-major or strided block is copied first.  Either way
+    # the squares are summed in the same order, so the norms are the same bits.
+    rng = np.random.default_rng(k)
+    b = rng.standard_normal((5, 8))
+    want = column_norms(b[:, k:])
+    assert np.array_equal(column_norms(np.asfortranarray(b[:, k:])), want)
+    assert np.array_equal(column_norms(np.repeat(b, 2, axis=1)[:, 2 * k :: 2]), want)
+
+
 def test_column_norms_validation():
     with pytest.raises(ValueError, match="2-D"):
         column_norms(np.zeros(3))

@@ -542,6 +542,26 @@ def test_panels_read_only_what_they_wrote_in_w(family, overrides, tracked):
     _assert_bitwise_equal(_PoisonedPanelEngine(a, cfg).run(), factor(a, cfg))
 
 
+@pytest.mark.parametrize("name", ["A", "L", "W"])
+def test_engine_buffers_are_read_back_from_their_bindings(name):
+    # A, L and W are the arrays their Buffers bind, column-major, before and
+    # after a run; none can be rebound to an array dgemm would not write
+    # through.
+    a = generate(MatrixSpec("type6", 40, seed=1))
+    engine = _Engine(a, FactorConfig(p=4, b=4, q=4, seed=2))
+    bound = getattr(engine, "buf_" + name).array
+
+    def check_view():
+        view = getattr(engine, name)
+        assert view is bound and view.strides[0] == 8
+        with pytest.raises(AttributeError):
+            setattr(engine, name, view.copy(order="F"))
+
+    check_view()
+    engine.run()
+    check_view()
+
+
 # -- dgemm blocks ----------------------------------------------------------
 
 

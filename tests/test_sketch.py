@@ -44,6 +44,22 @@ def test_sketch_state_initialize_projects():
     assert np.array_equal(engine.B, omega @ a)
 
 
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_project_reads_a_strided_omega_block(k):
+    # The guard and the audit project omega[:, k:], whose rows lie n entries
+    # apart, against the active block, column-major with padded columns.  On
+    # small integers every product is exact: the sketch must be NumPy's
+    # bitwise, returned row-major.
+    rng = np.random.default_rng(k)
+    n, p = 12, 3
+    omega = rng.integers(-4, 5, (p, n)).astype(np.float64)
+    m = n - k
+    a = rng.integers(-4, 5, (m, m + 8)).astype(np.float64).T[:m]
+    got = _Engine._project(omega[:, k:], a)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, omega[:, k:] @ a)
+
+
 def test_sketch_state_needs_positive_p():
     a = random_symmetric(4, seed=0)
     with pytest.raises(ValueError, match="positive"):
