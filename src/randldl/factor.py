@@ -23,9 +23,13 @@ matrix, where ``L`` is unit lower triangular and ``D`` is block diagonal with
   restores width ``b``.  While walks keep running long, each walk reads the
   table from its first hop instead of forming ``_ROOK_HOPS`` columns first;
   a walk that turns out short then costs one table built for nothing, and
-  the next walk forms its columns again.  Every hop is still charged the
-  ``m - 2`` comparisons of a column scan, and a deferred search is charged
-  only once, by its rerun.
+  the next walk forms its columns again.  A run of long walks builds the
+  table once.  After each of its one-step panels the next walk re-scans
+  only the stale columns: those of the rows the step touched, and those
+  with a nonzero entry in these rows.  When more than ``_REFRESH`` of the
+  columns are stale, it builds the table whole.  Every hop is still charged
+  the ``m - 2`` comparisons of a column scan, and a deferred search is
+  charged only once, by its rerun.
 
 Elimination is organized in panels of width ``b``.  Inside a panel only the
 current pivot columns are updated (each formed from the frozen trailing
@@ -172,6 +176,16 @@ _STRIP = 128
 # visits more columns runs long; the walk after a long one reads the table
 # from its first hop, since a run of long walks needs the table at every step.
 _ROOK_HOPS = 8
+
+# Largest share of the next active block's columns that a long walk's
+# one-step panel may leave stale for the off-diagonal table to be kept; past
+# it the next walk builds the table whole.  Re-scanning stale columns one by
+# one cost as much as one build at these shares of m: 0.47 at m = 8, 0.27 at
+# 16, 0.13-0.20 for m = 32-256, 0.47 at 512 and 0.89 at 1024 (one core of
+# the 2-core x86-64 host above).  A quarter stays within twice a build's
+# cost throughout, and keeps type2's tables, 3 stale columns a step, down
+# to m = 12.
+_REFRESH = 0.25
 
 # Spare entries after each column of the working copy of A.  When n is a
 # multiple of 512 (n = 1024, 2048), a row of A, which every swap reads,
@@ -498,6 +512,10 @@ class _Engine:
         # or deferred for want of a table; a step with no walk clears it.  A
         # long walk ends its panel, so only a panel's first step sees it set.
         self.last_walk_long = False
+        # The off-diagonal table a run of long walks keeps (see _long_walk),
+        # None between runs, and the columns to re-scan before a walk reads it.
+        self.table: OffDiagTable | None = None
+        self.stale: list[int] = []
 
     # -- bound buffers ---------------------------------------------------
 
@@ -552,11 +570,20 @@ class _Engine:
 
         Always a new array: the step's cache exchanges its entries in place.
         """
-        k, t, A = self.k, self.t, self.A
-        c = np.concatenate((A[j, k:j], A[j:, j])) if j > k else A[k:, k]
+        k, t = self.k, self.t
+        c = self._line(j)
         if t:
             return c - self.L[k:, self.k0 : self.k0 + t] @ self.W[j - self.k0, :t]
         return c if j > k else c.copy()
+
+    def _line(self, j: int) -> np.ndarray:
+        """Column j of the stored active block from row k, uncorrected.
+
+        The row segment left of the diagonal, then the column segment from
+        the diagonal down; for j = k a view of A.
+        """
+        k, A = self.k, self.A
+        return np.concatenate((A[j, k:j], A[j:, j])) if j > k else A[k:, k]
 
     def _column(self, j: int, charge: int | None = None) -> np.ndarray:
         """Column j for the search or the elimination.
@@ -676,11 +703,53 @@ class _Engine:
 
         With an empty panel the stored lower triangle of the active block is
         the Schur complement itself, so the table is exact; inside a panel
-        it is not, and the step defers.
+        it is not, and the step defers.  The first walk of a run of long
+        ones builds the whole table; each later one re-scans only the
+        columns that ``_carry_table`` marked stale, as ``_offdiag_table``
+        scans them.  Neither reads a column through ``_column``, so no
+        counter sees the difference.
         """
         if self.t:
             return None
-        return _offdiag_table(self.A[self.k :, self.k :])
+        k = self.k
+        if self.table is None:
+            absdiag, vmax, vidx = _offdiag_table(self.A[k:, k:])
+            self.table = ([0.0] * k + absdiag, [0.0] * k + vmax, [0] * k + [k + j for j in vidx])
+        else:
+            absdiag, vmax, vidx = self.table
+            for c in self.stale:
+                line = np.abs(self._line(c))
+                absdiag[c] = float(line[c - k])
+                line[c - k] = -np.inf
+                j = int(line.argmax())
+                vmax[c], vidx[c] = float(line[j]), k + j
+        self.stale = []
+        return self.table
+
+    def _carry_table(self, decision: PivotDecision) -> None:
+        """Keep the table across the one-step panel of a long walk at k.
+
+        Called before the step's swaps.  X is the positions the step
+        touches: k, k + 1 for a 2x2 block, ``r`` and ``p``.  A column outside
+        X whose entries in the rows X are all zero, and whose recorded
+        maximum lies outside X, keeps its entry bitwise: the swaps move only
+        zeros in it, and its rows of L and of the pivot columns are zero, so
+        the update subtracts exact zeros.  Its maximum can lie in X only if
+        the column is zero off its diagonal, and then it lies at k.  Every
+        other column of the next active block is stale.  When more than
+        ``_REFRESH`` of them are, the table is dropped, to be built whole.
+        """
+        k, s, n = self.k, decision.s, self.n
+        touched = {x for x in (k, k + s - 1, decision.r, decision.p) if x is not None}
+        stale = set(touched)
+        for x in touched:
+            stale.update((np.flatnonzero(self._line(x)) + k).tolist())
+        vidx = self.table[2]
+        if k in vidx[k + s :]:  # only a zero column records k; few have one
+            stale.update(c for c in range(k + s, n) if vidx[c] == k)
+        self.stale = [c for c in stale if c >= k + s]
+        if len(self.stale) > _REFRESH * (n - k - s):
+            self.table = None
 
     def _decide(self) -> PivotDecision:
         """Pivot decision at step k."""
@@ -718,6 +787,13 @@ class _Engine:
             hop_limit=0 if self.last_walk_long else _ROOK_HOPS,
         )
         self.last_walk_long = decision.hops > _ROOK_HOPS or decision.kind is PivotKind.DEFER
+        if self.table is not None:
+            # A long walk read the table at t = 0 and ends its panel; any
+            # other step widens the panel or eliminates without the table.
+            if decision.hops > _ROOK_HOPS:
+                self._carry_table(decision)
+            else:
+                self.table = None
         return decision
 
     # -- elimination -----------------------------------------------------
@@ -866,11 +942,16 @@ class _Engine:
         status, _ = self._sketch_pivot()
         if status == "stop":
             return status
-        # partial_qrcp reports positions before any swap, so take the labels
-        # found there and read each one's current position from perm.
-        labels = self.perm[k + np.array(partial_qrcp(self.B[:, k:], width))]
-        for j, label in enumerate(labels):
-            self._swap(k + j, int(np.flatnonzero(self.perm == label)[0]))
+        # partial_qrcp reports positions before any swap.  A selected label
+        # still sits there unless an earlier swap displaced it, and moved
+        # holds where each displaced label went.
+        positions = (k + np.array(partial_qrcp(self.B[:, k:], width))).tolist()
+        labels = self.perm[positions].tolist()
+        moved: dict[int, int] = {}
+        for j, (pos, label) in enumerate(zip(positions, labels)):
+            at = moved.get(label, pos)
+            self._swap(k + j, at)
+            moved[int(self.perm[at])] = at
             self.counters.comps += m - 1 - j
             self._charge(2 * self.p * (m - j))
         return "ok"

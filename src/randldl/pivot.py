@@ -16,15 +16,19 @@ columns or diagonal entries through a callback, and returns a
   a potentially quadratic search per step.
 
 A rook walk that reaches a hop limit asks its caller for an off-diagonal
-table (``_offdiag_table``): every column's largest off-diagonal magnitude
-and its first index, read off the lower triangle in one pass, as LAPACK
-``dsytrf_rook`` and bounded Bunch-Kaufman (Ashcraft, Grimes & Lewis, 1998)
-make the search cheap.  Each later hop is a list lookup that gives bitwise
-what forming and scanning the column gives.  A hop limit of 0 reads the
-table from the walk's first hop; the engine passes it while walks keep
-running long.  A caller that cannot supply the table (inside a panel, where
-the stored block is not yet the Schur complement) gets a ``DEFER`` decision
-and searches again later.
+table: every column's ``|a_jj|``, largest off-diagonal magnitude and its
+first index, as LAPACK ``dsytrf_rook`` and bounded Bunch-Kaufman (Ashcraft,
+Grimes & Lewis, 1998) make the search cheap.  The table is read by
+position: entry j describes the column at position j, and its index is a
+position.  ``_offdiag_table`` builds it over a block's lower triangle in one
+pass.  The engine builds it once for a run of long walks, and after each
+step re-scans only the columns the step touched, as bounded Bunch-Kaufman
+keeps its column maxima between steps.  Each later hop is a list lookup
+that gives bitwise what forming and scanning the column gives.  A hop limit
+of 0 reads the table from the walk's first hop; the engine passes it while
+walks keep running long.  A caller that cannot supply the table (inside a
+panel, where the stored block is not yet the Schur complement) gets a
+``DEFER`` decision and searches again later.
 
 The rules never modify the matrix; they only read it and increment the
 comparison counter by the length of each max scan.  A hop answered from the
@@ -88,8 +92,9 @@ class PivotDecision:
 
 # ``column_at(j)`` returns column j of the active Schur complement from row k
 # down; ``diag_at(j)`` returns its diagonal entry j.  ``long_walk()`` returns
-# the ``_offdiag_table`` of the active Schur complement, or None where the
-# caller cannot build it.
+# the off-diagonal table of the active Schur complement, read by position
+# from k on, or None where the caller cannot supply it.  At k = 0 that is
+# ``_offdiag_table`` of the whole block.
 ColumnProvider = Callable[[int], np.ndarray]
 DiagProvider = Callable[[int], float]
 OffDiagTable = tuple[list[float], list[float], list[int]]
@@ -127,6 +132,9 @@ _STRICT_LOWER = np.tril(np.ones((_TABLE_BLOCK, _TABLE_BLOCK), dtype=bool), -1)
 def _offdiag_table(a: np.ndarray) -> OffDiagTable:
     """``_scan_max_off`` of every column of the matrix whose lower triangle is ``a``.
 
+    The full build of the off-diagonal table, for a block whose first
+    position is 0: the engine calls it once for a run of long walks and then
+    re-scans single columns the same way (see ``factor._Engine._long_walk``).
     Returns three lists: ``|a_jj|``, and the value and index that
     ``_scan_max_off(np.abs(column j), j, ...)`` returns for every j (m >= 2).
     Row j of one m x m work array, in C order, is made that scan's input:
@@ -250,14 +258,18 @@ def _table_walk(
     counters: OpCounters,
     formed: int,
 ) -> PivotDecision:
-    """The rest of a rook walk after ``formed`` hops, each read from the table."""
+    """The rest of a rook walk after ``formed`` hops, each read from the table.
+
+    The walk reads the table by position: p and i become k + p and k + i.
+    """
     absdiag, vmax, vidx = table
-    m = len(absdiag)
+    m = len(absdiag) - k
+    p, i = k + p, k + i
     for hops in range(1, m + 1):
-        rowmax, local = vmax[i], vidx[i]
-        if absdiag[i] >= alpha * rowmax or local == p or rowmax <= colmax:
+        rowmax, at = vmax[i], vidx[i]
+        if absdiag[i] >= alpha * rowmax or at == p or rowmax <= colmax:
             counters.comps += hops * (m - 2)
-            return _rook_stop(k, p, i, absdiag[i] >= alpha * rowmax, formed + hops)
-        p, i, colmax = i, local, rowmax
+            return _rook_stop(k, p - k, i - k, absdiag[i] >= alpha * rowmax, formed + hops)
+        p, i, colmax = i, at, rowmax
     raise AssertionError("rook search failed to terminate")  # pragma: no cover
 

@@ -26,7 +26,7 @@ from randldl import (
 )
 from randldl.core import Buffer, dgemm
 from randldl.factor import _block_multipliers, _Engine
-from randldl.pivot import PivotDecision, PivotKind
+from randldl.pivot import PivotDecision, PivotKind, _offdiag_table
 from helpers import random_symmetric, recon_error
 
 STRATEGIES = ["rcp", "bkpp", "bbk"]
@@ -511,6 +511,147 @@ def test_panels_regain_width_after_a_run_of_long_walks(monkeypatch):
     widths = [t for _, t in first.panels]
     ones = widths.count(1)
     assert ones > 32 and widths == [1] * ones + [32, 32, 32, 160 - ones - 96]
+
+
+# -- kept off-diagonal table -------------------------------------------------
+
+
+class _TableCheckEngine(_PanelEngine):
+    """Checks at every table request that the table, read from position k
+    on, is bitwise ``_offdiag_table`` of the stored active block; counts the
+    requests and the full builds among them."""
+
+    def __init__(self, a, cfg):
+        super().__init__(a, cfg)
+        self.requests = self.builds = 0
+
+    def _long_walk(self):
+        build = self.table is None and not self.t
+        table = super()._long_walk()
+        if table is not None:
+            k = self.k
+            self.requests += 1
+            self.builds += build
+            absdiag, vmax, vidx = table
+            got = (absdiag[k:], vmax[k:], [j - k for j in vidx[k:]])
+            for g, w in zip(got, _offdiag_table(self.A[k:, k:]), strict=True):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        return table
+
+
+class _RebuildEngine(_PanelEngine):
+    """Builds the whole off-diagonal table at every request."""
+
+    def _long_walk(self):
+        self.table = None
+        return super()._long_walk()
+
+
+def _kept_against_rebuilt(a, b):
+    """Run bbk keeping the table and rebuilding it at every request; every
+    result and every panel must agree bitwise.  Returns the first engine."""
+    cfg = FactorConfig(strategy="bbk", b=b)
+    kept, rebuilt = _TableCheckEngine(a, cfg), _RebuildEngine(a, cfg)
+    _assert_bitwise_equal(kept.run(), rebuilt.run())
+    assert kept.panels == rebuilt.panels and kept.walks == rebuilt.walks
+    assert kept.formed == rebuilt.formed
+    return kept
+
+
+def _table_inputs():
+    """type2, whose walks all run long, type2 bordered by columns zero off
+    the diagonal, whose recorded maximum moves at every step, and the
+    block-diagonal mixes above."""
+    type2 = generate(MatrixSpec("type2", 64))
+    dominant = random_symmetric(96, seed=3) + 200.0 * np.eye(96)
+    return {
+        "type2-64": type2,
+        "type2-300": generate(MatrixSpec("type2", 300)),
+        "type2-zero-border": _block_diagonal(type2, np.diag([0.0, 3.0, 0.0])),
+        "gaussian-type2-gaussian": _block_diagonal(
+            random_symmetric(40, seed=1), type2, random_symmetric(100, seed=2)
+        ),
+        "type2-dominant": _block_diagonal(type2, dominant),
+    }
+
+
+@pytest.mark.parametrize("b", [1, 7, 64])
+@pytest.mark.parametrize("name", list(_table_inputs()))
+def test_kept_table_is_a_fresh_build_at_every_request(name, b):
+    kept = _kept_against_rebuilt(_table_inputs()[name], b)
+    # type2's steps leave a few columns stale, so most requests re-scan.
+    assert kept.requests > 40 and kept.builds * 4 < kept.requests
+
+
+@st.composite
+def _sparse_integer_symmetric(draw):
+    """A symmetric matrix of small integers, mostly zeros: ties, columns
+    zero off the diagonal, and now and then a dense first row and column
+    (an arrow)."""
+    n = draw(st.integers(2, 40), label="n")
+    entries = st.sampled_from([0.0] * 6 + [-0.0, 1.0, -1.0, 2.0, -2.0, 3.0])
+    values = draw(st.lists(entries, min_size=n * n, max_size=n * n), label="values")
+    a = np.tril(np.array(values).reshape(n, n))
+    if draw(st.booleans(), label="arrow"):
+        a[:, 0] = np.arange(1, n + 1) % 3 + 1.0
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3), label="zero columns"):
+        a[j, :j] = a[j + 1 :, j] = 0.0
+    return a + np.tril(a, -1).T
+
+
+@seed(1998)
+@settings(max_examples=150, deadline=None)
+@given(a=_sparse_integer_symmetric(), b=st.sampled_from([1, 7, 64]), hops=st.sampled_from([0, 1, 8]))
+def test_kept_table_on_sparse_integer_matrices(a, b, hops):
+    # A hop limit of 0 or 1 makes most walks long, so most steps keep the
+    # table across them; at 8 few walks here run long.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys.modules["randldl.factor"], "_ROOK_HOPS", hops)
+        _kept_against_rebuilt(a, b)
+
+
+def test_type2_builds_few_tables():
+    # Every type2 step touches k and r; its other stale column is the one
+    # whose entry in those rows is nonzero.  The table is built whole only
+    # where a walk comes after a short one, or near the end, where 3 stale
+    # columns are more than a quarter of m.
+    a = generate(MatrixSpec("type2", 256))
+    kept = _TableCheckEngine(a, FactorConfig(strategy="bbk"))
+    kept.run()
+    assert kept.requests >= 240 and kept.builds <= 5
+
+
+# -- q = b preselection ----------------------------------------------------
+
+
+@pytest.mark.parametrize("panels", [0, 1])
+@pytest.mark.parametrize(
+    "selection",
+    # None runs partial_qrcp itself.  In the others a later column is one
+    # that an earlier swap moved: [3, 0, 5, 1] takes label 0 from position
+    # 3, and in [1, 2, 0, 3] label 0 moves twice before it is taken.
+    [None, [3, 0, 5, 1], [1, 2, 0, 3]],
+)
+def test_panel_preselect_swaps_the_selected_labels_to_the_front(selection, panels, monkeypatch):
+    a = generate(MatrixSpec("type6", 40, seed=1))
+    engine = _Engine(a, FactorConfig(p=4, b=4, q=4, seed=2))
+    for _ in range(panels):
+        engine._run_panel()
+    k = engine.k
+    engine.k0, engine.t = k, 0
+    module = sys.modules["randldl.factor"]
+    qrcp, chosen = module.partial_qrcp, []
+
+    def select(b, width):
+        chosen.append(list(qrcp(b, width) if selection is None else selection))
+        return chosen[-1]
+
+    monkeypatch.setattr(module, "partial_qrcp", select)
+    before = engine.perm.copy()
+    assert engine._panel_preselect(4) == "ok"
+    (picked,) = chosen
+    assert engine.perm[k : k + 4].tolist() == before[k + np.array(picked)].tolist()
+    assert sorted(engine.perm.tolist()) == list(range(40))
 
 
 # -- panel buffer ----------------------------------------------------------
