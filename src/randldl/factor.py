@@ -22,14 +22,15 @@ matrix, where ``L`` is unit lower triangular and ``D`` is block diagonal with
   panels stay one step wide while walks keep running long, and a short walk
   restores width ``b``.  While walks keep running long, each walk reads the
   table from its first hop instead of forming ``_ROOK_HOPS`` columns first;
-  a walk that turns out short then costs one table built for nothing, and
-  the next walk forms its columns again.  A run of long walks builds the
-  table once.  After each of its one-step panels the next walk re-scans
-  only the stale columns: those of the rows the step touched, and those
-  with a nonzero entry in these rows.  When more than ``_REFRESH`` of the
-  columns are stale, it builds the table whole.  Every hop is still charged
-  the ``m - 2`` comparisons of a column scan, and a deferred search is
-  charged only once, by its rerun.
+  a walk that turns out short then costs one table built or refreshed for
+  nothing, and the next walk forms its columns again.  A run of long walks
+  builds the table once.  After each of its one-step panels the next walk
+  re-scans only the stale columns: those of the rows the step touched,
+  those with a nonzero entry in these rows, and those zero off their
+  diagonal.  When more than ``_REFRESH`` of the columns are stale, it
+  builds the table whole.  Every hop is still charged the ``m - 2``
+  comparisons of a column scan, and a deferred search is charged only
+  once, by its rerun.
 
 Elimination is organized in panels of width ``b``.  Inside a panel only the
 current pivot columns are updated (each formed from the frozen trailing

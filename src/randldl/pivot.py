@@ -22,8 +22,8 @@ Grimes & Lewis, 1998) make the search cheap.  The table is read by
 position: entry j describes the column at position j, and its index is a
 position.  ``_offdiag_table`` builds it over a block's lower triangle in one
 pass.  The engine builds it once for a run of long walks, and after each
-step re-scans only the columns the step touched, as bounded Bunch-Kaufman
-keeps its column maxima between steps.  Each later hop is a list lookup
+step re-scans only the columns the step can have changed, as bounded
+Bunch-Kaufman keeps its column maxima between steps.  Each later hop is a list lookup
 that gives bitwise what forming and scanning the column gives.  A hop limit
 of 0 reads the table from the walk's first hop; the engine passes it while
 walks keep running long.  A caller that cannot supply the table (inside a

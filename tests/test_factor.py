@@ -611,10 +611,9 @@ def test_kept_table_on_sparse_integer_matrices(a, b, hops):
 
 
 def test_type2_builds_few_tables():
-    # Every type2 step touches k and r; its other stale column is the one
-    # whose entry in those rows is nonzero.  The table is built whole only
-    # where a walk comes after a short one, or near the end, where 3 stale
-    # columns are more than a quarter of m.
+    # Each type2 step leaves 3 columns stale.  The table is built whole at
+    # the first long walk, and near the end, where 3 stale columns are more
+    # than a quarter of the next active block (4 builds for 248 walks).
     a = generate(MatrixSpec("type2", 256))
     kept = _TableCheckEngine(a, FactorConfig(strategy="bbk"))
     kept.run()
