@@ -26,7 +26,6 @@ from .factor import (
     BlockDiag,
     FactorConfig,
     Factorization,
-    GrowthTracking,
     NumericalError,
     Strategy,
     factor,
@@ -39,7 +38,7 @@ from .gallery import (
     load_matrix_market,
     save_matrix_market,
 )
-from .metrics import GrowthStats, OpCounters, backward_error, jl_required_p
+from .metrics import GrowthStats, OpCounters, backward_error, jl_required_p, schur_snapshots
 from .pivot import BK_ALPHA, SBKP_ALPHA
 from .solve import SolveReport, solve, solve_many
 
@@ -54,7 +53,6 @@ __all__ = [
     "Factorization",
     "BlockDiag",
     "Strategy",
-    "GrowthTracking",
     "NumericalError",
     "PAT_SINGLE",
     "PAT_PAIR_START",
@@ -71,6 +69,7 @@ __all__ = [
     "GrowthStats",
     "backward_error",
     "jl_required_p",
+    "schur_snapshots",
     # gallery
     "generate",
     "MatrixSpec",

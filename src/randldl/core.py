@@ -42,7 +42,6 @@ __all__ = [
     "require_finite",
     "require_symmetric",
     "is_exactly_symmetric",
-    "identity_permutation",
     "exchange",
     "sym_swap",
     "mirror_lower",
@@ -105,10 +104,6 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not is_exactly_symmetric(a):
         raise ValueError(f"{name} must be symmetric (exact equality of triangles)")
     return a
-
-
-def identity_permutation(n: int) -> np.ndarray:
-    return np.arange(n, dtype=np.int64)
 
 
 def exchange(x: np.ndarray, y: np.ndarray) -> None:

@@ -66,9 +66,10 @@ so every large product runs on one BLAS thread pool.
 The strip products also update the upper half of each diagonal strip
 square, whose values are never used: no result depends on the strict
 upper triangle.  The rare paths that need the whole block (the guard's
-fresh projection, full growth tracking and the sketch audit) mirror a
-copy of it on demand, at the configured ``b`` and ``q``: a growth
-snapshot inside a panel subtracts the panel's pending update.
+fresh projection and the sketch audit) mirror a copy of it on demand,
+where the stored block is the Schur complement.  Growth factors are not
+tracked here: :func:`randldl.metrics.schur_snapshots` replays them from
+the input and the finished factors.
 
 A swap exchanges the rows of ``L`` only over the open block: the columns
 from the first one not yet closed up to k, the current panel among them.
@@ -105,6 +106,7 @@ instruction; see :class:`randldl.metrics.OpCounters`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -116,7 +118,6 @@ from .core import (
     column_norms,
     dgemm,
     exchange,
-    identity_permutation,
     mirror_lower,
     require_disjoint,
     require_finite,
@@ -124,15 +125,7 @@ from .core import (
     require_symmetric,
     sym_swap,
 )
-from .metrics import (
-    GrowthStats,
-    OpCounters,
-    growth_from_snapshots,
-    linv_norm1,
-    norm_1,
-    norm_1_2,
-    norm_1_inf,
-)
+from .metrics import GrowthStats, OpCounters, norm_1_2
 from .pivot import (
     BK_ALPHA,
     SBKP_ALPHA,
@@ -148,7 +141,6 @@ from .sketch import partial_qrcp
 
 __all__ = [
     "Strategy",
-    "GrowthTracking",
     "FactorConfig",
     "BlockDiag",
     "Factorization",
@@ -227,11 +219,6 @@ class Strategy(str, Enum):
     BBK = "bbk"
 
 
-class GrowthTracking(str, Enum):
-    CHEAP = "cheap"
-    FULL = "full"
-
-
 @dataclass(frozen=True)
 class FactorConfig:
     """Knobs for :func:`factor`.
@@ -240,14 +227,15 @@ class FactorConfig:
     of sketch pivots per panel), and the sketch size ``p`` must be at least
     ``q``; only rcp keeps a sketch, so the other strategies take ``q = 1``
     only.  ``robust_r`` is the recompute budget of the guarded mode, armed
-    by default; 0 disables the guard.  ``track_growth="full"`` copies every
-    step's Schur complement and ``audit_sketch`` projects the active block
-    at every panel end that leaves one; both are meant for experiments, not
-    production solves, and neither changes the pivots.  A run that is a
-    single panel (n <= b, no step deferred) leaves no trailing block, so
-    its audit records nothing: ``stats.sketch_drift == []``.  Only rcp keeps
-    a sketch; the other strategies leave ``stats.sketch_drift`` None.  A
-    config is validated once, here, and is then frozen.
+    by default; 0 disables the guard.  ``audit_sketch`` projects the
+    active block at every panel end that leaves one; it is meant for
+    experiments, not production solves, and does not change the pivots.  A
+    run that is a single panel (n <= b, no step deferred) leaves no
+    trailing block, so its audit records nothing: ``stats.sketch_drift ==
+    []``.  Only rcp keeps a sketch; the other strategies leave
+    ``stats.sketch_drift`` None.  A config is validated once, here, and is
+    then frozen: ``p``, ``b``, ``q``, ``seed`` and ``robust_r`` must be
+    integers (NumPy's too, stored as ``int``) and ``seed`` non-negative.
     """
 
     strategy: Strategy = Strategy.RCP
@@ -256,12 +244,15 @@ class FactorConfig:
     q: int = 1
     seed: int = 0
     robust_r: int = 1
-    track_growth: GrowthTracking = GrowthTracking.CHEAP
     audit_sketch: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", Strategy(self.strategy))
-        object.__setattr__(self, "track_growth", GrowthTracking(self.track_growth))
+        for name in ("p", "b", "q", "seed", "robust_r"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.p < 1:
             raise ValueError("sketch size p must be positive")
         if self.b < 1:
@@ -277,6 +268,8 @@ class FactorConfig:
             raise ValueError(f"sketch size p={self.p} must be at least q={self.q}")
         if self.robust_r < 0:
             raise ValueError("robust_r must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -450,7 +443,7 @@ class _Engine:
         # so the array and the pointer BLAS writes through cannot drift apart.
         self.buf_A = Buffer(padded.T[:n], "A")
         self.buf_L = Buffer(np.eye(n, order="F"), "L")
-        self.perm = identity_permutation(n)
+        self.perm = np.arange(n, dtype=np.int64)
         # L's rows follow every swap over columns open0:k only; each closed
         # block (c0, c1, perm[c1:] when it closed) is gathered once by run.
         self.open0 = 0
@@ -487,10 +480,9 @@ class _Engine:
         self.threshold = _EPS**self.delta if self.robust_armed else 0.0
         self.beta = norm_1_2(self.B) if self.robust_armed else 0.0
 
-        self.snapshots: list[tuple[float, float]] | None = (
-            [] if cfg.track_growth is GrowthTracking.FULL else None
-        )
-        # Omega is kept only for an audited sketch, so only rcp audits.
+        # Omega is kept only for an audited sketch, so only rcp audits.  Its
+        # columns stay in label order (column perm[i] meets position i), so
+        # swaps leave it alone.
         self.drift: list[float] | None = [] if self.omega is not None else None
         self.input_norm_12 = norm_1_2(self.A) if self.omega is not None else 0.0
         self.terminated = False
@@ -554,8 +546,6 @@ class _Engine:
         if self.buf_B is not None:
             b = self.B
             exchange(b[:, i], b[:, j])
-        if self.omega is not None:
-            exchange(self.omega[:, i], self.omega[:, j])
         self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
         if self.cols:
             for c in self.cols.values():
@@ -686,7 +676,7 @@ class _Engine:
         omega = self.rng.standard_normal((self.p, m))
         self.B[:, k:] = self._project(omega, self._active_block())
         if self.omega is not None:
-            self.omega[:, k:] = omega
+            self.omega[:, self.perm[k:]] = omega
         self.recompute_count += 1
         self.delta += 1.0 / self.cfg.robust_r
         self.threshold = _EPS**self.delta
@@ -841,28 +831,13 @@ class _Engine:
         """Full symmetric copy of the active block, mirrored from its lower triangle."""
         return mirror_lower(self.A[self.k :, self.k :].copy(order="F"))
 
-    def _snapshot(self) -> None:
-        """Record the norms of step k's Schur complement, once per step.
-
-        Inside a panel that is the stored lower triangle minus the panel's
-        pending update, as ``_form_column`` corrects one column.  A step
-        recorded before it deferred leaves one snapshot more than there are
-        blocks, so its rerun records nothing.
-        """
-        if len(self.snapshots) > len(self.blocks):
-            return
-        k, k0, t, n = self.k, self.k0, self.t, self.n
-        sub = self.A[k:, k:].copy()
-        if t:
-            sub -= self.L[k:, k0 : k0 + t] @ self.W[k - k0 : n - k0, :t].T
-        mirror_lower(sub)
-        self.snapshots.append((norm_1_inf(sub), float(column_norms(sub).max())))
-
     def _record_drift(self) -> None:
         k = self.k
         if k >= self.n:
             return
-        exact = self._project(self.omega[:, k:], self._active_block())
+        # Omega is kept in label order; the gather puts it in position order,
+        # row-major (a fancy index would return it column-major).
+        exact = self._project(np.take(self.omega, self.perm[k:], axis=1), self._active_block())
         err = norm_1_2(self.B[:, k:] - exact)
         denom = self.input_norm_12
         self.drift.append(err / denom if denom else err)
@@ -888,15 +863,10 @@ class _Engine:
             rho_cheap=rho_cheap,
             max_multiplier=self.max_multiplier,
             counters=self.counters,
-            snapshots=self.snapshots,
             sketch_drift=self.drift,
             recompute_count=self.recompute_count,
         )
         self._gather_closed_blocks()
-        if self.snapshots:
-            stats.rho_elem, stats.rho_col = growth_from_snapshots(self.snapshots)
-            stats.L_norm1 = norm_1(self.L)
-            stats.Linv_norm1 = linv_norm1(self.L)
         return Factorization(
             perm=self.perm,
             L=self.L,
@@ -961,8 +931,6 @@ class _Engine:
         k, n, t = self.k, self.n, self.t
         m = n - k
         self.cols.clear()
-        if self.snapshots is not None:
-            self._snapshot()
         if self.buf_B is not None and self.cfg.q == 1 and m > 1:
             status, j = self._sketch_pivot()
             if status != "ok":

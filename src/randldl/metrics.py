@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .core import column_norms, require_square
+
+if TYPE_CHECKING:
+    from .factor import Factorization
 
 __all__ = [
     "OpCounters",
@@ -17,6 +21,7 @@ __all__ = [
     "norm_1_2",
     "norm_1",
     "linv_norm1",
+    "schur_snapshots",
     "growth_from_snapshots",
     "jl_required_p",
     "backward_error",
@@ -45,20 +50,15 @@ class OpCounters:
 class GrowthStats:
     """Growth and cost diagnostics attached to a factorization.
 
-    ``rho_cheap`` is always available: the max-magnitude entry of the block
-    diagonal over the max-magnitude entry of the input.  The elementwise and
-    columnwise growth factors require per-step snapshots of the active Schur
-    complement and are filled only when full tracking was requested.
+    ``rho_cheap`` is the max-magnitude entry of the block diagonal over the
+    max-magnitude entry of the input.  The elementwise and columnwise growth
+    factors are not kept here: they are a function of the input and the
+    factors, ``growth_from_snapshots(schur_snapshots(a, f))``.
     """
 
     rho_cheap: float
     max_multiplier: float
     counters: OpCounters = field(default_factory=OpCounters)
-    rho_elem: float | None = None
-    rho_col: float | None = None
-    L_norm1: float | None = None
-    Linv_norm1: float | None = None
-    snapshots: list[tuple[float, float]] | None = None
     sketch_drift: list[float] | None = None
     recompute_count: int = 0
 
@@ -96,8 +96,36 @@ def linv_norm1(l: np.ndarray) -> float:
     return norm_1(inv)
 
 
+def schur_snapshots(a: np.ndarray, f: Factorization) -> list[tuple[float, float]]:
+    """``(max |S|, largest column norm of S)`` of each Schur complement S of ``f``.
+
+    Replays a right-looking elimination of ``a`` along ``f``'s pivots: S
+    starts as a copy of ``a[perm][:, perm]``, and the pivot block of size s
+    at k turns it, in place, into ``S[s:, s:] - L[k+s:, k:k+s] @ S[:s, s:]``.
+    One entry is recorded before each block, the input's first; a deficient
+    tail is recorded once, and the replay stops there.  The replay costs
+    O(n^3) flops in NumPy, more than the factorization did.
+    """
+    a = require_square(a, "A")
+    if a.shape[0] != f.n:
+        raise ValueError(f"A is {a.shape[0]} x {a.shape[0]}, but f is {f.n} x {f.n}")
+    s = a[np.ix_(f.perm, f.perm)]
+    stop = f.deficient_from
+    out = []
+    k = 0
+    for block in f.D.blocks:
+        out.append((norm_1_inf(s), norm_1_2(s)))
+        if k == stop:
+            break
+        z = block.shape[0]
+        s[z:, z:] -= f.L[k + z :, k : k + z] @ s[:z, z:]
+        s = s[z:, z:]
+        k += z
+    return out
+
+
 def growth_from_snapshots(snapshots: list[tuple[float, float]]) -> tuple[float, float]:
-    """Growth factors from per-step Schur-complement snapshots.
+    """Growth factors from per-step Schur-complement snapshots (see ``schur_snapshots``).
 
     Each snapshot is ``(max_abs_entry, max_column_norm)`` of one active
     Schur complement, the first being the input matrix itself.  Returns

@@ -11,7 +11,6 @@ from randldl.core import (
     Buffer,
     column_norms,
     dgemm,
-    identity_permutation,
     is_exactly_symmetric,
     mirror_lower,
     require_disjoint,
@@ -66,13 +65,6 @@ def test_is_exactly_symmetric_sees_one_ulp_at_tile_edges(i, j):
     assert is_exactly_symmetric(a) is (i == j)
     a[i, j] = np.nan
     assert not is_exactly_symmetric(a)
-
-
-# -- permutations --------------------------------------------------------
-
-
-def test_identity_permutation():
-    assert np.array_equal(identity_permutation(4), [0, 1, 2, 3])
 
 
 # -- swaps and mirroring -------------------------------------------------

@@ -23,9 +23,11 @@ from randldl import (
     factor,
     generate,
     reconstruct,
+    schur_snapshots,
 )
 from randldl.core import Buffer, dgemm
 from randldl.factor import _block_multipliers, _Engine
+from randldl.metrics import growth_from_snapshots
 from randldl.pivot import PivotDecision, PivotKind, _offdiag_table
 from helpers import random_symmetric, recon_error
 
@@ -196,7 +198,6 @@ def _assert_bitwise_equal(got, want):
         assert np.array_equal(g, w)
     assert got.stats.counters == want.stats.counters
     assert got.stats.recompute_count == want.stats.recompute_count
-    assert got.stats.snapshots == want.stats.snapshots
     assert got.stats.sketch_drift == want.stats.sketch_drift
 
 
@@ -209,7 +210,6 @@ def _assert_bitwise_equal(got, want):
         (dict(strategy="bbk"), random_symmetric(150, seed=8)),
         (dict(b=1), random_symmetric(60, seed=8)),
         (dict(audit_sketch=True), random_symmetric(60, seed=8)),
-        (dict(track_growth="full"), random_symmetric(60, seed=8)),
         (dict(p=6, seed=2), _zero_tail(65, 40)),
         (dict(strategy="bbk"), generate(MatrixSpec("type2", 100))),
     ],
@@ -220,7 +220,6 @@ def _assert_bitwise_equal(got, want):
         "bbk",
         "b=1",
         "audit",
-        "full",
         "robust-zero-tail",
         "bbk-long-walks",
     ],
@@ -672,11 +671,11 @@ _BUFFER_CONFIGS = [
 
 @pytest.mark.parametrize("family", ["type2", "type6"])
 @pytest.mark.parametrize("overrides", _BUFFER_CONFIGS, ids=str)
-@pytest.mark.parametrize("tracked", [False, True])
-def test_panels_read_only_what_they_wrote_in_w(family, overrides, tracked):
+@pytest.mark.parametrize("audited", [False, True])
+def test_panels_read_only_what_they_wrote_in_w(family, overrides, audited):
     # Each panel takes a view of one uncleared buffer; every read of it must
     # take rows >= k - k0 of columns < t, all written by the panel's steps.
-    extra = dict(audit_sketch=True, track_growth="full") if tracked else {}
+    extra = dict(audit_sketch=True) if audited else {}
     a = generate(MatrixSpec(family, 150, seed=1))
     cfg = FactorConfig(seed=1, **overrides, **extra)
     _assert_bitwise_equal(_PoisonedPanelEngine(a, cfg).run(), factor(a, cfg))
@@ -728,13 +727,13 @@ def _dgemm_on_views(calls):
 
 @pytest.mark.parametrize("n", [1, 2, 129, 130, 300])
 @pytest.mark.parametrize("overrides", _BUFFER_CONFIGS, ids=str)
-@pytest.mark.parametrize("tracked", [False, True])
-def test_dgemm_offsets_address_the_blocks_views_would(n, overrides, tracked, monkeypatch):
+@pytest.mark.parametrize("audited", [False, True])
+def test_dgemm_offsets_address_the_blocks_views_would(n, overrides, audited, monkeypatch):
     # The trailing strips, the sketch downdates, the q = b correction and
     # the projections hand dgemm blocks by offset; dgemm on the views those
     # offsets name must give every result bitwise.  type2 keeps bbk's walks
     # long, so its panels stay one step wide.
-    extra = dict(audit_sketch=True, track_growth="full") if tracked else {}
+    extra = dict(audit_sketch=True) if audited else {}
     a = generate(MatrixSpec("type2", n, seed=1)) if n >= 3 else random_symmetric(n, seed=1)
     cfg = FactorConfig(seed=1, **overrides, **extra)
     want = factor(a, cfg)
@@ -864,22 +863,23 @@ def test_panel_columns_numerical_errors():
 # -- diagnostics -------------------------------------------------------------
 
 
-def test_full_tracking_fills_growth_stats():
+def test_schur_snapshots_give_growth_factors():
+    # The first entry is the input's; growth is measured against it.
     a = random_symmetric(50, seed=8)
-    f = factor(a, strategy="rcp", track_growth="full", seed=1)
-    stats = f.stats
-    assert stats.rho_elem is not None and stats.rho_elem >= 1.0 - 1e-12
-    assert stats.rho_col is not None and stats.rho_col >= 1.0 - 1e-12
-    assert stats.L_norm1 is not None and stats.Linv_norm1 is not None
-    assert stats.snapshots[0][0] == np.abs(a).max()
+    f = factor(a, strategy="rcp", seed=1)
+    snapshots = schur_snapshots(a, f)
+    assert snapshots[0][0] == np.abs(a).max()
+    rho_elem, rho_col = growth_from_snapshots(snapshots)
+    assert rho_elem >= 1.0 and rho_col >= 1.0
+    assert f.stats.rho_cheap > 0.0
 
 
-def test_cheap_tracking_leaves_full_stats_unset():
+def test_schur_snapshots_reject_a_mismatched_input():
     a = random_symmetric(20, seed=8)
     f = factor(a, strategy="rcp", seed=1)
-    assert f.stats.rho_elem is None
-    assert f.stats.snapshots is None
-    assert f.stats.rho_cheap > 0.0
+    for wrong in (a[:19, :19], np.zeros((21, 21)), a[:, :19]):
+        with pytest.raises(ValueError, match="A "):
+            schur_snapshots(wrong, f)
 
 
 def test_audit_mode_reports_tiny_sketch_drift():
@@ -907,49 +907,65 @@ def test_audit_without_a_sketch_records_nothing(strategy):
 
 
 def _replayed_snapshots(a, f):
-    """Snapshot norms of a plain right-looking elimination along f's pivots."""
+    """Snapshot norms of a plain right-looking elimination along f's pivots,
+    each Schur complement formed by solving with D's block rather than by
+    multiplying with L; a deficient tail is recorded once, where it stops."""
     s = a[np.ix_(f.perm, f.perm)]
     out = []
     for blk in f.D.blocks:
         out.append((np.abs(s).max(), np.linalg.norm(s, axis=0).max()))
+        if f.n - s.shape[0] == f.deficient_from:
+            break
         z = blk.shape[0]
         s = s[z:, z:] - s[z:, :z] @ np.linalg.solve(blk, s[:z, z:])
     return np.array(out)
 
 
+@pytest.mark.parametrize(
+    "a, kwargs, deficient_from",
+    [
+        (generate(MatrixSpec("type1", 60)), dict(strategy="bkpp", b=1), None),
+        (generate(MatrixSpec("type2", 100)), dict(strategy="bbk"), None),
+        *[
+            (generate(MatrixSpec("type6", 200, seed=seed)), dict(p=16, b=16, q=16, seed=seed), None)
+            for seed in range(3)
+        ],
+        (_zero_tail(65, 40), dict(p=6, seed=2, b=1), 40),
+        (_zero_tail(65, 40), dict(p=6, seed=2, b=64), 40),
+    ],
+    ids=[
+        "type1-bkpp-b=1", "type2-bbk", "type6-q=b=16-seed0", "type6-q=b=16-seed1",
+        "type6-q=b=16-seed2", "zero-tail-b=1", "zero-tail-b=64",
+    ],
+)
+def test_schur_snapshots_match_a_replayed_elimination(a, kwargs, deficient_from):
+    # One entry per pivot block, plus one for a deficient tail.  The two
+    # replays round differently, so they agree relative to the largest
+    # entry.  type1 under bkpp grows by 3e11 at n = 60; at n = 100 growth
+    # passes 1/eps, the last Schur complements are rounding alone, and the
+    # two replays part there.
+    f = factor(a, **kwargs)
+    assert f.deficient_from == deficient_from
+    # The tail's n - deficient_from zero blocks share one entry.
+    shared = 0 if deficient_from is None else f.n - deficient_from - 1
+    got, want = np.array(schur_snapshots(a, f)), _replayed_snapshots(a, f)
+    assert got.shape == want.shape == (len(f.D.blocks) - shared, 2)
+    assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=0))
+
+
 @pytest.mark.parametrize("family, n", [("type6", 200), ("type3", 256), ("type7", 256)])
-def test_full_tracking_runs_at_the_configured_width(family, n):
-    # Snapshots inside a panel subtract its pending update, so b = 64 runs
-    # its own panels and still records b = 1's Schur complements, once per
-    # step: type6 n = 200 seed 3 defers two steps, which must not record
-    # twice.
+def test_schur_snapshots_agree_across_widths(family, n):
+    # b = 64 picks b = 1's pivots (type6 n = 200 seed 3 defers two steps at
+    # b = 64) with factors that differ only by rounding, so the Schur
+    # complements replayed from the two agree to rounding.
     for seed in range(4):
         a = generate(MatrixSpec(family, n, seed=seed))
-        ref = factor(a, b=1, seed=seed, track_growth="full")
-        f = factor(a, b=64, seed=seed, track_growth="full")
+        ref = factor(a, b=1, seed=seed)
+        f = factor(a, b=64, seed=seed)
         assert np.array_equal(f.perm, ref.perm) and np.array_equal(f.pattern, ref.pattern)
-        got, want = np.array(f.stats.snapshots), np.array(ref.stats.snapshots)
+        got, want = np.array(schur_snapshots(a, f)), np.array(schur_snapshots(a, ref))
         assert got.shape == want.shape == (len(f.D.blocks), 2)
         assert np.all(np.abs(got - want) <= 1e-12 * want)
-        # Tracking only reads: the run is the untracked b = 64 run.
-        assert np.array_equal(f.L, factor(a, b=64, seed=seed).L)
-
-
-def test_full_tracking_runs_q_b_panels():
-    # A q = b panel selects its pivots by QR with column pivoting, so no
-    # b = 1 run shares them.  The tracked run must be the untracked one, with
-    # one snapshot per step that matches a plain elimination along its
-    # pivots to rounding (relative to the largest snapshot, because the two
-    # orders of operations round differently).
-    for seed in range(3):
-        a = generate(MatrixSpec("type6", 200, seed=seed))
-        plain = factor(a, p=16, b=16, q=16, seed=seed)
-        f = factor(a, p=16, b=16, q=16, seed=seed, track_growth="full")
-        assert np.array_equal(f.perm, plain.perm) and np.array_equal(f.pattern, plain.pattern)
-        assert np.array_equal(f.L, plain.L)
-        got, want = np.array(f.stats.snapshots), _replayed_snapshots(a, f)
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-10 * want.max(axis=0))
 
 
 @pytest.mark.parametrize("width", [16, 64])
@@ -1012,16 +1028,30 @@ def test_config_rejects_cfg_plus_overrides():
         {"q": 8, "b": 8, "p": 8, "strategy": "bbk"},
         {"robust_r": -1},
         {"strategy": "newton"},
-        {"track_growth": "sometimes"},
+        {"b": 2.0},
+        {"p": 5.0},
+        {"q": 1.0},
+        {"robust_r": 1.5},
+        {"seed": 0.0},
+        {"seed": -1},
+        {"b": True},
     ],
     ids=[
         "p", "b", "q-not-1-or-b", "p-below-q", "q-without-sketch-bkpp",
-        "q-without-sketch-bbk", "robust_r", "strategy", "tracking",
+        "q-without-sketch-bbk", "robust_r", "strategy", "b-float", "p-float",
+        "q-float", "robust_r-float", "seed-float", "seed-negative", "b-bool",
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    # Each failure names the field it rejects, the first one given.
+    with pytest.raises(ValueError, match=rf"(?i)\b{next(iter(kwargs))}\b"):
         FactorConfig(**kwargs)
+
+
+def test_config_stores_numpy_integers_as_int():
+    cfg = FactorConfig(p=np.int64(20), b=np.int32(16), q=np.int64(16), seed=np.uint8(3))
+    assert [type(getattr(cfg, f)) for f in ("p", "b", "q", "seed")] == [int] * 4
+    assert (cfg.p, cfg.b, cfg.q, cfg.seed) == (20, 16, 16, 3)
 
 
 def test_config_is_frozen():

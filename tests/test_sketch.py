@@ -44,20 +44,26 @@ def test_sketch_state_initialize_projects():
     assert np.array_equal(engine.B, omega @ a)
 
 
-@pytest.mark.parametrize("k", [0, 1, 7])
-def test_project_reads_a_strided_omega_block(k):
-    # The guard and the audit project omega[:, k:], whose rows lie n entries
-    # apart, against the active block, column-major with padded columns.  On
-    # small integers every product is exact: the sketch must be NumPy's
-    # bitwise, returned row-major.
-    rng = np.random.default_rng(k)
-    n, p = 12, 3
+@pytest.mark.parametrize("case", ["set-up", "fresh", "gather"])
+def test_project_reads_each_omega_factor_passes(case):
+    # factor projects the whole omega at set-up, against the padded
+    # column-major copy of A; and, against a column-major copy of the active
+    # block, the guard's fresh (p, m) draw and the audit's np.take gather of
+    # the label-ordered omega into position order.  On small integers every
+    # product is exact: the sketch must be NumPy's bitwise, returned
+    # row-major.
+    rng = np.random.default_rng(3)
+    n, p, k = 12, 3, 5
     omega = rng.integers(-4, 5, (p, n)).astype(np.float64)
-    m = n - k
-    a = rng.integers(-4, 5, (m, m + 8)).astype(np.float64).T[:m]
-    got = _Engine._project(omega[:, k:], a)
+    if case == "set-up":
+        a = rng.integers(-4, 5, (n, n + 8)).astype(np.float64).T[:n]
+    else:
+        a = np.asfortranarray(rng.integers(-4, 5, (n - k, n - k)).astype(np.float64))
+        labels = rng.permutation(n)[k:]
+        omega = omega[:, k:].copy() if case == "fresh" else np.take(omega, labels, axis=1)
+    got = _Engine._project(omega, a)
     assert got.flags.c_contiguous
-    assert np.array_equal(got, omega[:, k:] @ a)
+    assert np.array_equal(got, omega @ a)
 
 
 def test_sketch_state_needs_positive_p():
