@@ -211,6 +211,7 @@ def _assert_bitwise_equal(got, want):
         (dict(b=1), random_symmetric(60, seed=8)),
         (dict(audit_sketch=True), random_symmetric(60, seed=8)),
         (dict(p=6, seed=2), _zero_tail(65, 40)),
+        (dict(p=8, b=8, q=8, seed=2), _zero_tail(65, 40)),
         (dict(strategy="bbk"), generate(MatrixSpec("type2", 100))),
     ],
     ids=[
@@ -221,6 +222,7 @@ def _assert_bitwise_equal(got, want):
         "b=1",
         "audit",
         "robust-zero-tail",
+        "robust-zero-tail-q=b=8",
         "bbk-long-walks",
     ],
 )
@@ -232,8 +234,11 @@ def test_engine_never_reads_strict_upper_triangle(kwargs, a):
     engine = _Engine(a, cfg)
     engine.A[np.triu_indices(a.shape[0], 1)] = np.nan
     _assert_bitwise_equal(engine.run(), clean)
-    if kwargs.get("p") == 6:
-        assert clean.deficient_from == 40  # the guard fired on the zero tail
+    if kwargs.get("seed") == 2:
+        # The guard fired on the zero tail: with q = b = 8 it stops at the
+        # start of the panel at 40, before the panel's preselection.
+        assert clean.deficient_from == 40
+        assert clean.stats.recompute_count == 1
 
 
 class _CountingEngine(_Engine):
@@ -932,10 +937,11 @@ def _replayed_snapshots(a, f):
         ],
         (_zero_tail(65, 40), dict(p=6, seed=2, b=1), 40),
         (_zero_tail(65, 40), dict(p=6, seed=2, b=64), 40),
+        (_zero_tail(65, 40), dict(p=8, b=8, q=8, seed=2), 40),
     ],
     ids=[
         "type1-bkpp-b=1", "type2-bbk", "type6-q=b=16-seed0", "type6-q=b=16-seed1",
-        "type6-q=b=16-seed2", "zero-tail-b=1", "zero-tail-b=64",
+        "type6-q=b=16-seed2", "zero-tail-b=1", "zero-tail-b=64", "zero-tail-q=b=8",
     ],
 )
 def test_schur_snapshots_match_a_replayed_elimination(a, kwargs, deficient_from):
