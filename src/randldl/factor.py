@@ -79,13 +79,12 @@ are permuted once, after the last step, by every interchange made after it
 closed: one gather per block, as LAPACK applies ``dlaswp`` after
 ``dlasyf``, rather than two strided row swaps per step over all of ``L``.
 
-The columns a step forms are kept, keyed by position, until it ends: a
-swap exchanges their two entries and relabels them, and the elimination
-takes its pivot columns from them.  A column formed again, or a diagonal
-entry taken as a dot product, would round differently from the one the
-search read, so a 2x2 block could miss the determinant bound its search
-established; the rcp search therefore forms column r whole for its
-diagonal entry.  The cost model charges every use as a formation.
+The columns a step forms are kept, keyed by label, until it ends: a swap
+exchanges their two entries, and the elimination takes its pivot columns
+from them.  A column formed again, or a diagonal entry taken as a dot
+product, would round differently from the one the search read, so a 2x2
+block could miss the determinant bound its search established; the rcp
+search therefore forms column r whole for its diagonal entry.  The cost model charges every use as a formation.
 
 The q = 1 sketch norms come from ``column_norms``, which sums the squares
 as they stand and rescales by a power of two only when the largest sum
@@ -227,15 +226,20 @@ class FactorConfig:
     of sketch pivots per panel), and the sketch size ``p`` must be at least
     ``q``; only rcp keeps a sketch, so the other strategies take ``q = 1``
     only.  ``robust_r`` is the recompute budget of the guarded mode, armed
-    by default; 0 disables the guard.  ``audit_sketch`` projects the
-    active block at every panel end that leaves one; it is meant for
-    experiments, not production solves, and does not change the pivots.  A
-    run that is a single panel (n <= b, no step deferred) leaves no
-    trailing block, so its audit records nothing: ``stats.sketch_drift ==
-    []``.  Only rcp keeps a sketch; the other strategies leave
-    ``stats.sketch_drift`` None.  A config is validated once, here, and is
-    then frozen: ``p``, ``b``, ``q``, ``seed`` and ``robust_r`` must be
-    integers (NumPy's too, stored as ``int``) and ``seed`` non-negative.
+    by default; 0 disables the guard.  With ``q = b`` the guard reads the
+    sketch only at a panel's start: zero columns met inside a panel are
+    eliminated as zero 1x1 pivots until the next one starts, so the
+    deficient tail can start later than with ``q = 1``.  ``audit_sketch``
+    projects the active block at every panel end that leaves one; it is
+    meant for experiments, not production solves, and does not change the
+    pivots.  A run that is a single panel (n <= b, no step deferred) leaves
+    no trailing block, so its audit records nothing:
+    ``stats.sketch_drift == []``.  Only rcp keeps a sketch; the other
+    strategies leave ``stats.sketch_drift`` None.  A config is validated
+    once, here, and is then frozen: ``p``, ``b``, ``q``, ``seed`` and
+    ``robust_r`` must be integers (NumPy's too, stored as ``int``), ``seed``
+    non-negative, and ``audit_sketch`` a bool (NumPy's too, stored as
+    ``bool``).
     """
 
     strategy: Strategy = Strategy.RCP
@@ -253,6 +257,9 @@ class FactorConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if not isinstance(self.audit_sketch, (bool, np.bool_)):
+            raise ValueError(f"audit_sketch must be a bool, got {self.audit_sketch!r}")
+        object.__setattr__(self, "audit_sketch", bool(self.audit_sketch))
         if self.p < 1:
             raise ValueError("sketch size p must be positive")
         if self.b < 1:
@@ -448,7 +455,7 @@ class _Engine:
         # block (c0, c1, perm[c1:] when it closed) is gathered once by run.
         self.open0 = 0
         self.closed: list[tuple[int, int, np.ndarray]] = []
-        # Columns formed in this step, keyed by their current position.
+        # Columns formed in this step, keyed by label.
         self.cols: dict[int, np.ndarray] = {}
         self.pattern = np.zeros(n, dtype=np.int8)
         self.blocks: list[np.ndarray] = []
@@ -485,7 +492,6 @@ class _Engine:
         # swaps leave it alone.
         self.drift: list[float] | None = [] if self.omega is not None else None
         self.input_norm_12 = norm_1_2(self.A) if self.omega is not None else 0.0
-        self.terminated = False
 
         # Panel state, re-initialized by each _run_panel call.  W holds the
         # panel's pivot columns, column t from row k - k0 down, as the step
@@ -547,14 +553,8 @@ class _Engine:
             b = self.B
             exchange(b[:, i], b[:, j])
         self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
-        if self.cols:
-            for c in self.cols.values():
-                c[i - k], c[j - k] = c[j - k], c[i - k]
-            ci, cj = self.cols.pop(i, None), self.cols.pop(j, None)
-            if ci is not None:
-                self.cols[j] = ci
-            if cj is not None:
-                self.cols[i] = cj
+        for c in self.cols.values():
+            c[i - k], c[j - k] = c[j - k], c[i - k]
 
     def _form_column(self, j: int) -> np.ndarray:
         """Column j of the active Schur complement (rows k:), panel-corrected.
@@ -583,13 +583,14 @@ class _Engine:
         with the entries of every swap since exchanged.  Each request is
         charged ``charge`` multiply-adds, by default a whole formation.
         """
-        c = self.cols.get(j)
+        label = int(self.perm[j])
+        c = self.cols.get(label)
         if c is None:
             if len(self.cols) > 2:
                 # A swap can bring only column k and the last two formed to
                 # k or k + 1; a rook walk forms more, which are not read again.
                 del self.cols[list(self.cols)[1]]
-            c = self.cols[j] = self._form_column(j)
+            c = self.cols[label] = self._form_column(j)
         if self.t:
             self._charge(self.t * c.size if charge is None else charge)
         return c
@@ -631,10 +632,11 @@ class _Engine:
             lt[c0:c1, c1:] = np.take(lt[c0:c1], where[self.perm[c1:]], axis=1)
 
     def _terminate_deficient(self) -> None:
+        """Declare the tail from k numerically zero; moving k to n ends the run."""
         for j in range(self.k, self.n):
             self.blocks.append(np.zeros((1, 1)))
             self.pattern[j] = PAT_DEFICIENT
-        self.terminated = True
+        self.k = self.n
 
     # -- sketch projection and guarded mode ------------------------------
 
@@ -654,15 +656,14 @@ class _Engine:
         )
         return out_t.T
 
-    def _sketch_pivot(self) -> tuple[str, int]:
-        """Position of the largest sketch column norm behind the guard, with a status.
+    def _sketch_pivot(self) -> int | None:
+        """Position of the largest sketch column norm, or None if the guard trips.
 
         A largest norm below ``threshold * beta`` trips the guard.  Inside a
         panel the step defers, to be retested where the stored block is the
         Schur complement; there the sketch is recomputed from a fresh
         projection and the threshold relaxed, and if the fresh norms confirm
-        the collapse the tail is declared deficient ("stop").  The position
-        is k unless the status is "ok".
+        the collapse the tail is declared deficient, which moves k to n.
         """
         k, m = self.k, self.n - self.k
         norms = column_norms(self.B[:, k:])
@@ -670,9 +671,9 @@ class _Engine:
         self.counters.comps += m - 1
         self._charge(self.p * (m - 1))
         if not (self.robust_armed and norms[j] < self.threshold * self.beta):
-            return "ok", k + j
+            return k + j
         if self.t:
-            return "defer", k
+            return None
         omega = self.rng.standard_normal((self.p, m))
         self.B[:, k:] = self._project(omega, self._active_block())
         if self.omega is not None:
@@ -684,8 +685,8 @@ class _Engine:
         j = int(norms.argmax())
         if norms[j] < self.threshold * self.beta:
             self._terminate_deficient()
-            return "stop", k
-        return "ok", k + j
+            return None
+        return k + j
 
     # -- pivot selection ---------------------------------------------------
 
@@ -833,8 +834,6 @@ class _Engine:
 
     def _record_drift(self) -> None:
         k = self.k
-        if k >= self.n:
-            return
         # Omega is kept in label order; the gather puts it in position order,
         # row-major (a fancy index would return it column-major).
         exact = self._project(np.take(self.omega, self.perm[k:], axis=1), self._active_block())
@@ -851,7 +850,7 @@ class _Engine:
         # Every non-finite pivot, multiplier or entry of L raises NumericalError
         # by step, so NumPy's warnings on the way there would only precede it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while self.k < n and not self.terminated:
+            while self.k < n:
                 self._run_panel()
         d = BlockDiag(self.blocks)
         dmax = d.max_abs()
@@ -882,10 +881,11 @@ class _Engine:
         self.t = 0
         self.cols.clear()
         batch = self.buf_B is not None and self.cfg.q > 1
-        if batch and n - k0 > 1 and self._panel_preselect(width) == "stop":
-            return
+        if batch and n - k0 > 1:
+            self._panel_preselect(width)
+        # A confirmed collapse leaves k = n and t = 0: the rest does nothing.
         while self.k < n and self.t < width:
-            if self._step(width) != "ok":
+            if not self._step(width):
                 break
         self._apply_trailing()
         k, t = self.k, self.t
@@ -901,18 +901,17 @@ class _Engine:
                 trans_a=True,
             )
             self._charge((t * self.p + t * (t - 1) // 2) * (n - k))
-        if self.drift is not None and t > 0:
+        if self.drift is not None and t > 0 and k < n:
             self._record_drift()
         if k - self.open0 >= max(self.cfg.b, _CLOSE):
             self.closed.append((self.open0, k, self.perm[k:].copy()))
             self.open0 = k
 
-    def _panel_preselect(self, width: int) -> str:
-        """Swap a q=b panel's sketch-selected columns to its front; "ok" or "stop"."""
+    def _panel_preselect(self, width: int) -> None:
+        """Swap a q=b panel's sketch-selected columns to its front, behind the guard."""
         k, m = self.k, self.n - self.k
-        status, _ = self._sketch_pivot()
-        if status == "stop":
-            return status
+        if self._sketch_pivot() is None:
+            return
         # partial_qrcp reports positions before any swap.  A selected label
         # still sits there unless an earlier swap displaced it, and moved
         # holds where each displaced label went.
@@ -925,16 +924,16 @@ class _Engine:
             moved[int(self.perm[at])] = at
             self.counters.comps += m - 1 - j
             self._charge(2 * self.p * (m - j))
-        return "ok"
 
-    def _step(self, width: int) -> str:
+    def _step(self, width: int) -> bool:
+        """One pivot step at k; False ends the panel, with or without a pivot."""
         k, n, t = self.k, self.n, self.t
         m = n - k
         self.cols.clear()
         if self.buf_B is not None and self.cfg.q == 1 and m > 1:
-            status, j = self._sketch_pivot()
-            if status != "ok":
-                return status
+            j = self._sketch_pivot()
+            if j is None:
+                return False
             self._swap(k, j)
         comps = self.counters.comps
         decision = self._decide()
@@ -943,9 +942,9 @@ class _Engine:
             # the next panel's start is charged the whole search; the panel
             # corrections already formed stay charged.
             self.counters.comps = comps
-            return "defer"
+            return False
         if decision.s == 2 and t > 0 and t + 2 > width:
-            return "defer"  # 2x2 would overflow the panel; restart fresh
+            return False  # 2x2 would overflow the panel; restart fresh
         if decision.kind is PivotKind.ONE_BY_ONE_SWAP_R:
             self._swap(k, decision.r)
         elif decision.kind is PivotKind.TWO_BY_TWO:
@@ -958,7 +957,7 @@ class _Engine:
         self.t += decision.s
         # While walks run long, each panel is this one step: the next walk
         # then starts again from the exact Schur complement.
-        return "long" if decision.hops > _ROOK_HOPS else "ok"
+        return decision.hops <= _ROOK_HOPS
 
 
 def factor(a: np.ndarray, cfg: FactorConfig | None = None, **overrides) -> Factorization:

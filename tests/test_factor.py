@@ -651,7 +651,7 @@ def test_panel_preselect_swaps_the_selected_labels_to_the_front(selection, panel
 
     monkeypatch.setattr(module, "partial_qrcp", select)
     before = engine.perm.copy()
-    assert engine._panel_preselect(4) == "ok"
+    engine._panel_preselect(4)
     (picked,) = chosen
     assert engine.perm[k : k + 4].tolist() == before[k + np.array(picked)].tolist()
     assert sorted(engine.perm.tolist()) == list(range(40))
@@ -1041,11 +1041,15 @@ def test_config_rejects_cfg_plus_overrides():
         {"seed": 0.0},
         {"seed": -1},
         {"b": True},
+        {"audit_sketch": "no"},
+        {"audit_sketch": 1},
+        {"audit_sketch": None},
     ],
     ids=[
         "p", "b", "q-not-1-or-b", "p-below-q", "q-without-sketch-bkpp",
         "q-without-sketch-bbk", "robust_r", "strategy", "b-float", "p-float",
         "q-float", "robust_r-float", "seed-float", "seed-negative", "b-bool",
+        "audit_sketch-str", "audit_sketch-int", "audit_sketch-none",
     ],
 )
 def test_config_validation(kwargs):
@@ -1058,6 +1062,7 @@ def test_config_stores_numpy_integers_as_int():
     cfg = FactorConfig(p=np.int64(20), b=np.int32(16), q=np.int64(16), seed=np.uint8(3))
     assert [type(getattr(cfg, f)) for f in ("p", "b", "q", "seed")] == [int] * 4
     assert (cfg.p, cfg.b, cfg.q, cfg.seed) == (20, 16, 16, 3)
+    assert FactorConfig(audit_sketch=np.bool_(True)).audit_sketch is True
 
 
 def test_config_is_frozen():

@@ -19,10 +19,12 @@ and ``deficient_from``, digests of ``solve(f, b).x`` and of a 3-column
 the ``audit`` configuration does).  The right-hand sides are drawn from
 Philox(seed) with a first row of -0.0, which a digest tells from 0.0.
 ``max |L|`` does not see the order of L's rows; the ``L`` digest and the
-residual do.  The grid is type2, type6, type10 and
-``type6-padded`` (type6 of order n - 3 bordered by 3 zero rows and
-columns, so exactly singular) at n in {64, 300, 1024}, seeds 0-2, under
-the configurations named in ``CONFIGS``; ``--quick`` keeps n <= 300.
+residual do.  The grid is type2, type6, type10 and two exactly singular
+families, type6 of order n - z bordered by z zero rows and columns:
+``type6-padded`` (z = 3) and ``type6-half`` (z = n // 2, wide enough for
+the guard to stop both at a step and at the start of a q = b panel).  It
+runs them at n in {64, 300, 1024}, seeds 0-2, under the configurations
+named in ``CONFIGS``; ``--quick`` keeps n <= 300.
 ``randldl`` is imported from ``--src`` (default: ``src/`` beside this
 directory).  Pin the BLAS thread count (``OPENBLAS_NUM_THREADS=1``) on both
 sides: a threaded GEMM may round differently.
@@ -37,8 +39,9 @@ import json
 import sys
 from pathlib import Path
 
-PADDED, ZERO_ROWS = "type6-padded", 3
-FAMILIES = ("type2", "type6", "type10", PADDED)
+# The zero-bordered families: the number of zero rows at order n.
+ZERO_ROWS = {"type6-padded": lambda n: 3, "type6-half": lambda n: n // 2}
+FAMILIES = ("type2", "type6", "type10", *ZERO_ROWS)
 SIZES = (64, 300, 1024)
 SEEDS = (0, 1, 2)
 CONFIGS = {
@@ -72,9 +75,9 @@ def main(argv: list[str] | None = None) -> int:
     for family in FAMILIES:
         for n in sizes:
             for seed in SEEDS:
-                if family == PADDED:
+                if family in ZERO_ROWS:
                     a = np.zeros((n, n))
-                    m = n - ZERO_ROWS
+                    m = n - ZERO_ROWS[family](n)
                     a[:m, :m] = generate(MatrixSpec(family="type6", n=m, seed=seed))
                 else:
                     a = generate(MatrixSpec(family=family, n=n, seed=seed))
