@@ -126,17 +126,50 @@ def test_update_sketch_known_value():
     assert np.array_equal(engine.B[:, 1:], [[9.0, -1.0]])
 
 
-def test_update_sketch_matches_projected_schur_complement():
-    # The audit keeps Omega and compares the downdated sketch with Omega
-    # applied to each Schur complement.  A zero diagonal makes the first
-    # pivot 2x2, so both downdate shapes are checked.
-    a = random_symmetric(9, seed=3)
+def _panel_ends(sizes: list[int], b: int) -> list[int]:
+    """Where each panel of width b ends, replayed from the pivot block sizes.
+
+    A panel ends when it is full, or before a 2x2 block that would overflow
+    it; a 2x2 block may fill a panel of width 1 on its own.
+    """
+    ends, k, t = [], 0, 0
+    for s in sizes:
+        if t > 0 and t + s > b:
+            ends.append(k)
+            t = 0
+        k, t = k + s, t + s
+        if t >= b:
+            ends.append(k)
+            t = 0
+    return ends
+
+
+def _zero_diagonal(a: np.ndarray) -> np.ndarray:
     np.fill_diagonal(a, 0.0)
-    f = factor(a, p=3, b=1, audit_sketch=True, seed=0)
+    return a
+
+
+@pytest.mark.parametrize(
+    "a, p, b, q, bound",
+    [
+        (_zero_diagonal(random_symmetric(9, seed=3)), 3, 1, 1, 1e-14),
+        (_zero_diagonal(random_symmetric(40, seed=3)), 8, 8, 8, 1e-12),
+        (generate(MatrixSpec("type6", 200)), 16, 16, 16, 1e-12),
+    ],
+    ids=["b=1", "zero-diagonal-q=b=8", "type6-q=b=16"],
+)
+def test_update_sketch_matches_projected_schur_complement(a, p, b, q, bound):
+    # The audit keeps Omega and compares the downdated sketch with Omega
+    # applied to each Schur complement, at every panel end that leaves a
+    # trailing block: after each step with q = 1 and b = 1, after each
+    # panel's one correction with q = b.  Each input's first pivot is 2x2,
+    # so both downdate shapes are checked.
+    f = factor(a, p=p, b=b, q=q, audit_sketch=True, seed=0)
     assert f.pattern[0] == PAT_PAIR_START
     drift = f.stats.sketch_drift
-    assert len(drift) == len(f.D.blocks) - 1  # every step but the last
-    assert max(drift) <= 1e-14
+    sizes = [blk.shape[0] for blk in f.D.blocks]
+    assert len(drift) == len([e for e in _panel_ends(sizes, b) if e < f.n])
+    assert max(drift) <= bound
 
 
 def test_recompute_advances_stream_and_counts():
