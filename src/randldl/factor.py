@@ -891,16 +891,15 @@ class _Engine:
         k, t = self.k, self.t
         if batch and t > 0 and k < n:
             # One correction per panel: B(:,trail) -= B(:,panel) Lpp^-T Ltp^T,
-            # on the bound B.T as B.T[k:] -= z.T @ B.T[k0:k].
-            z = solve_triangular(
-                self.L[k0:k, k0:k], self.L[k:, k0:k].T, lower=True, unit_diagonal=True, trans="T"
-            )
+            # formed on its p x t side.  On the bound B.T that is
+            # B.T[k:] -= L[k:, k0:k] @ y, with y = Lpp^-1 B.T[k0:k] (t x p),
+            # and the product reads Ltp in place.
+            y = solve_triangular(self.L[k0:k, k0:k], self.B[:, k0:k].T, lower=True, unit_diagonal=True)
             dgemm(
                 n - k, self.p, t,
-                -1.0, (Buffer(z, "z"), 0, 0), (self.buf_B, k0, 0), 1.0, (self.buf_B, k, 0),
-                trans_a=True,
+                -1.0, (self.buf_L, k, k0), (Buffer(y, "y"), 0, 0), 1.0, (self.buf_B, k, 0),
             )
-            self._charge((t * self.p + t * (t - 1) // 2) * (n - k))
+            self._charge(self.p * t * (t - 1) // 2 + self.p * t * (n - k))
         if self.drift is not None and t > 0 and k < n:
             self._record_drift()
         if k - self.open0 >= max(self.cfg.b, _CLOSE):
