@@ -475,6 +475,9 @@ class _Engine:
         self.omega: np.ndarray | None = None
         self.p = cfg.p
         self.recompute_count = 0
+        # Only q = 1 reads the sketch at every step, so only q = 1 swaps its
+        # columns; a q = b panel gathers them once, at its end.
+        self.swap_sketch = self.strategy is Strategy.RCP and cfg.q == 1
         if self.strategy is Strategy.RCP:
             self.rng = np.random.Generator(np.random.Philox(cfg.seed))
             self.omega = self.rng.standard_normal((cfg.p, n))
@@ -549,7 +552,7 @@ class _Engine:
             exchange(L[i, self.open0 : k], L[j, self.open0 : k])
         if t:
             exchange(self.W[i - self.k0, :t], self.W[j - self.k0, :t])
-        if self.buf_B is not None:
+        if self.swap_sketch:
             b = self.B
             exchange(b[:, i], b[:, j])
         self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
@@ -881,14 +884,24 @@ class _Engine:
         self.t = 0
         self.cols.clear()
         batch = self.buf_B is not None and self.cfg.q > 1
-        if batch and n - k0 > 1:
-            self._panel_preselect(width)
+        if batch:
+            start = self.perm[k0:].copy()
+            if n - k0 > 1:
+                self._panel_preselect(width)
         # A confirmed collapse leaves k = n and t = 0: the rest does nothing.
         while self.k < n and self.t < width:
             if not self._step(width):
                 break
         self._apply_trailing()
         k, t = self.k, self.t
+        if batch:
+            # The panel's swaps left the sketch in the order of its start:
+            # move each column whose position changed label to its new place.
+            where = np.empty(n, dtype=np.int64)
+            where[start] = np.arange(k0, n)
+            moved = k0 + np.flatnonzero(self.perm[k0:] != start)
+            b = self.B
+            b[:, moved] = b[:, where[self.perm[moved]]]
         if batch and t > 0 and k < n:
             # One correction per panel: B(:,trail) -= B(:,panel) Lpp^-T Ltp^T,
             # formed on its p x t side.  On the bound B.T that is
