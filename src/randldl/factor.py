@@ -349,12 +349,21 @@ class Factorization:
     stats: GrowthStats
 
     def __post_init__(self) -> None:
+        if self.L.ndim != 2 or self.L.shape[0] != self.L.shape[1]:
+            raise ValueError(f"L must be a square 2-D array, got shape {self.L.shape}")
         if not np.isfinite(self.L).all():
             raise ValueError("L contains NaN or Inf")
         n, perm = self.L.shape[0], self.perm
-        # Given n entries, none negative, every count is 1 exactly when perm
-        # holds each of 0..n-1 once.
-        if perm.shape != (n,) or perm.min(initial=0) < 0 or (np.bincount(perm) != 1).any():
+        # Given n integers, none negative, every count is 1 exactly when perm
+        # holds each of 0..n-1 once.  bincount takes the integer dtypes that
+        # cast safely to intp.
+        if (
+            perm.shape != (n,)
+            or perm.dtype.kind not in "iu"
+            or not np.can_cast(perm.dtype, np.intp)
+            or perm.min(initial=0) < 0
+            or (np.bincount(perm) != 1).any()
+        ):
             raise ValueError(f"perm is not a permutation of 0..{n - 1}")
         if self.D.dim != n:
             raise ValueError(f"D covers {self.D.dim} rows, expected {n}")

@@ -246,15 +246,39 @@ def test_factorization_rejects_non_finite_L(bad):
 
 
 @pytest.mark.parametrize(
-    "perm", [[0, 0, 2], [0, 1, 3], [-1, 1, 2], [0, 1]], ids=["repeat", "too-large", "negative", "short"]
+    "perm",
+    [
+        [0, 0, 2],
+        [0, 1, 3],
+        [-1, 1, 2],
+        [0, 1],
+        np.array([0.0, 1.0, 2.0]),
+        np.array([0, 1, 2], dtype=np.uint64),
+    ],
+    ids=["repeat", "too-large", "negative", "short", "float", "uint64"],
 )
 def test_factorization_rejects_non_permutation(perm):
+    # A float perm would index nothing, and bincount cannot take uint64.
     with pytest.raises(ValueError, match="not a permutation"):
         Factorization(
             perm=np.array(perm),
             L=np.eye(3),
             D=BlockDiag([np.eye(1)] * 3),
             pattern=np.zeros(3, dtype=np.int8),
+            stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
+        )
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (5, 6), (36,), (6, 6, 1)], ids=str)
+def test_factorization_rejects_non_square_L(shape):
+    # Caught when built, not in the triangular solves.
+    n = shape[0]
+    with pytest.raises(ValueError, match=r"L must be a square 2-D array, got shape \("):
+        Factorization(
+            perm=np.arange(n),
+            L=np.ones(shape),
+            D=BlockDiag([np.eye(1)] * n),
+            pattern=np.zeros(n, dtype=np.int8),
             stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
         )
 
