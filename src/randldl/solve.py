@@ -79,9 +79,16 @@ def _substitute(f: Factorization, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     z = solve_triangular(f.L, rhs[f.perm], 0)  # the gather is a new array
     w, singular = block_diag_solve(f.D, z)
     v = solve_triangular(f.L, w, 1)
-    x = np.empty_like(v)
-    x[f.perm] = v
-    return x, singular
+    if v.ndim == 1:
+        x = np.empty_like(v)
+        x[f.perm] = v
+        return x, singular
+    # x[perm] = v, gathered along the rows of v.T, its contiguous axis, by
+    # the inverse permutation: scattering rows into the column-major x
+    # strides across every column.  x is column-major, as v is.
+    inv = np.empty_like(f.perm)
+    inv[f.perm] = np.arange(f.n)
+    return np.take(v.T, inv, axis=1).T, singular
 
 
 def solve(f: Factorization, b: np.ndarray, a: np.ndarray | None = None) -> SolveReport:
