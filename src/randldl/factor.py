@@ -37,11 +37,18 @@ current pivot columns are updated (each formed from the frozen trailing
 matrix plus a correction against the panel's earlier columns); the trailing
 Schur complement is rebuilt once per panel by matrix-matrix products over
 column strips.  ``b=1`` reproduces the classic eager per-step update.  With
-``q=1`` the sketch selects one column per step; with ``q=b`` one LAPACK
-``dgeqp3`` call (QR with column pivoting) on the sketch proposes the whole
-panel's candidate columns up front and the sketch is corrected once per
-panel.  ``dgeqp3`` scales its column norms, so they neither overflow nor
-underflow and a power-of-two scaling of the sketch leaves the choice as is.
+``q=1`` the sketch selects one column per step, and every swap exchanges
+two of its columns; with ``q=b`` one LAPACK ``dgeqp3`` call (QR with column
+pivoting) on the sketch proposes the whole panel's candidate columns up
+front.  No step of such a panel reads the sketch, so its swaps leave the
+sketch in place, and at the panel's end one gather moves the columns
+whose position changed label.  The sketch is then corrected once, on its
+p x t side: with the panel's t columns of ``L`` split into the unit lower
+``Lpp`` over ``Ltp``, ``B[:, trail] -= B[:, panel] Lpp^-T Ltp^T`` is one
+t x p triangular solve ``y = Lpp^-1 B[:, panel]^T`` and one product
+``Ltp @ y``.  ``dgeqp3`` scales its column norms, so they neither overflow
+nor underflow and a power-of-two scaling of the sketch leaves the choice as
+is.
 
 Only the lower triangle of the active block ``A[k:, k:]`` is kept, as in
 LAPACK ``dsytrf``/``dlasyf``, and ``A``, ``L`` and the panel's ``W`` are
@@ -551,7 +558,11 @@ class _Engine:
     # -- bookkeeping ---------------------------------------------------
 
     def _swap(self, i: int, j: int) -> None:
-        """Relabel positions i and j across every live array."""
+        """Relabel positions i and j across every live array.
+
+        The sketch is one only with q = 1; a q = b panel moves its columns
+        once, at the panel's end.
+        """
         if i == j:
             return
         k, t = self.k, self.t
@@ -904,8 +915,9 @@ class _Engine:
         self._apply_trailing()
         k, t = self.k, self.t
         if batch:
-            # The panel's swaps left the sketch in the order of its start:
-            # move each column whose position changed label to its new place.
+            # The panel's swaps left the sketch in its starting order: move
+            # the column of each position whose label changed, so that the
+            # correction and the audit read it in position order.
             where = np.empty(n, dtype=np.int64)
             where[start] = np.arange(k0, n)
             moved = k0 + np.flatnonzero(self.perm[k0:] != start)
