@@ -491,8 +491,7 @@ class _Engine:
         self.omega: np.ndarray | None = None
         self.p = cfg.p
         self.recompute_count = 0
-        # Only q = 1 reads the sketch at every step, so only q = 1 swaps its
-        # columns; a q = b panel gathers them once, at its end.
+        # Only q = 1 reads the sketch at every step.
         self.swap_sketch = self.strategy is Strategy.RCP and cfg.q == 1
         if self.strategy is Strategy.RCP:
             self.rng = np.random.Generator(np.random.Philox(cfg.seed))
@@ -560,8 +559,8 @@ class _Engine:
     def _swap(self, i: int, j: int) -> None:
         """Relabel positions i and j across every live array.
 
-        The sketch is one only with q = 1; a q = b panel moves its columns
-        once, at the panel's end.
+        The sketch's columns move here only with q = 1; a q = b panel moves
+        them once, at its end.
         """
         if i == j:
             return
@@ -928,7 +927,9 @@ class _Engine:
             # formed on its p x t side.  On the bound B.T that is
             # B.T[k:] -= L[k:, k0:k] @ y, with y = Lpp^-1 B.T[k0:k] (t x p),
             # and the product reads Ltp in place.
-            y = solve_triangular(self.L[k0:k, k0:k], self.B[:, k0:k].T, lower=True, unit_diagonal=True)
+            y = solve_triangular(
+                self.L[k0:k, k0:k], self.B[:, k0:k].T, lower=True, unit_diagonal=True
+            )
             dgemm(
                 n - k, self.p, t,
                 -1.0, (self.buf_L, k, k0), (Buffer(y, "y"), 0, 0), 1.0, (self.buf_B, k, 0),
