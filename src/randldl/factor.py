@@ -913,23 +913,21 @@ class _Engine:
                 break
         self._apply_trailing()
         k, t = self.k, self.t
-        if batch:
+        if batch and t > 0 and k < n:
             # The panel's swaps left the sketch in its starting order: move
             # the column of each position whose label changed, so that the
-            # correction and the audit read it in position order.
+            # correction, the audit and the next panel read it in position
+            # order.  The last panel's sketch is not read again.
             where = np.empty(n, dtype=np.int64)
             where[start] = np.arange(k0, n)
             moved = k0 + np.flatnonzero(self.perm[k0:] != start)
             b = self.B
             b[:, moved] = b[:, where[self.perm[moved]]]
-        if batch and t > 0 and k < n:
             # One correction per panel: B(:,trail) -= B(:,panel) Lpp^-T Ltp^T,
             # formed on its p x t side.  On the bound B.T that is
             # B.T[k:] -= L[k:, k0:k] @ y, with y = Lpp^-1 B.T[k0:k] (t x p),
             # and the product reads Ltp in place.
-            y = solve_triangular(
-                self.L[k0:k, k0:k], self.B[:, k0:k].T, lower=True, unit_diagonal=True
-            )
+            y = solve_triangular(self.L[k0:k, k0:k], b[:, k0:k].T, lower=True, unit_diagonal=True)
             dgemm(
                 n - k, self.p, t,
                 -1.0, (self.buf_L, k, k0), (Buffer(y, "y"), 0, 0), 1.0, (self.buf_B, k, 0),
