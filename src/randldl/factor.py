@@ -37,16 +37,14 @@ current pivot columns are updated (each formed from the frozen trailing
 matrix plus a correction against the panel's earlier columns); the trailing
 Schur complement is rebuilt once per panel by matrix-matrix products over
 column strips.  ``b=1`` reproduces the classic eager per-step update.  With
-``q=1`` the sketch selects one column per step, and every swap exchanges
-two of its columns; with ``q=b`` one LAPACK ``dgeqp3`` call (QR with column
-pivoting) on the sketch proposes the whole panel's candidate columns up
-front.  No step of such a panel reads the sketch, so its swaps leave the
-sketch in place, and at the panel's end one gather moves the columns
-whose position changed label.  The sketch is then corrected once, on its
-p x t side: with the panel's t columns of ``L`` split into the unit lower
-``Lpp`` over ``Ltp``, ``B[:, trail] -= B[:, panel] Lpp^-T Ltp^T`` is one
-t x p triangular solve ``y = Lpp^-1 B[:, panel]^T`` and one product
-``Ltp @ y``.  ``dgeqp3`` scales its column norms, so they neither overflow
+``q=1`` the sketch selects one column per step; with ``q=b`` one LAPACK
+``dgeqp3`` call (QR with column pivoting) on the sketch proposes the whole
+panel's candidate columns up front and the sketch is corrected once per
+panel, on its p x t side: with the panel's t columns of ``L`` split into
+the unit lower ``Lpp`` over ``Ltp``, ``B[:, trail] -= B[:, panel] Lpp^-T
+Ltp^T`` is one t x p triangular solve ``y = Lpp^-1 B[:, panel]^T`` and one
+product ``Ltp @ y``.  Every swap, with either q, exchanges two columns of
+the sketch.  ``dgeqp3`` scales its column norms, so they neither overflow
 nor underflow and a power-of-two scaling of the sketch leaves the choice as
 is.
 
@@ -491,8 +489,6 @@ class _Engine:
         self.omega: np.ndarray | None = None
         self.p = cfg.p
         self.recompute_count = 0
-        # Only q = 1 reads the sketch at every step.
-        self.swap_sketch = self.strategy is Strategy.RCP and cfg.q == 1
         if self.strategy is Strategy.RCP:
             self.rng = np.random.Generator(np.random.Philox(cfg.seed))
             self.omega = self.rng.standard_normal((cfg.p, n))
@@ -557,11 +553,7 @@ class _Engine:
     # -- bookkeeping ---------------------------------------------------
 
     def _swap(self, i: int, j: int) -> None:
-        """Relabel positions i and j across every live array.
-
-        The sketch's columns move here only with q = 1; a q = b panel moves
-        them once, at its end.
-        """
+        """Relabel positions i and j across every live array."""
         if i == j:
             return
         k, t = self.k, self.t
@@ -571,7 +563,7 @@ class _Engine:
             exchange(L[i, self.open0 : k], L[j, self.open0 : k])
         if t:
             exchange(self.W[i - self.k0, :t], self.W[j - self.k0, :t])
-        if self.swap_sketch:
+        if self.buf_B is not None:
             b = self.B
             exchange(b[:, i], b[:, j])
         self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
@@ -903,10 +895,8 @@ class _Engine:
         self.t = 0
         self.cols.clear()
         batch = self.buf_B is not None and self.cfg.q > 1
-        if batch:
-            start = self.perm[k0:].copy()
-            if n - k0 > 1:
-                self._panel_preselect(width)
+        if batch and n - k0 > 1:
+            self._panel_preselect(width)
         # A confirmed collapse leaves k = n and t = 0: the rest does nothing.
         while self.k < n and self.t < width:
             if not self._step(width):
@@ -914,20 +904,11 @@ class _Engine:
         self._apply_trailing()
         k, t = self.k, self.t
         if batch and t > 0 and k < n:
-            # The panel's swaps left the sketch in its starting order: move
-            # the column of each position whose label changed, so that the
-            # correction, the audit and the next panel read it in position
-            # order.  The last panel's sketch is not read again.
-            where = np.empty(n, dtype=np.int64)
-            where[start] = np.arange(k0, n)
-            moved = k0 + np.flatnonzero(self.perm[k0:] != start)
-            b = self.B
-            b[:, moved] = b[:, where[self.perm[moved]]]
             # One correction per panel: B(:,trail) -= B(:,panel) Lpp^-T Ltp^T,
             # formed on its p x t side.  On the bound B.T that is
             # B.T[k:] -= L[k:, k0:k] @ y, with y = Lpp^-1 B.T[k0:k] (t x p),
             # and the product reads Ltp in place.
-            y = solve_triangular(self.L[k0:k, k0:k], b[:, k0:k].T, lower=True, unit_diagonal=True)
+            y = solve_triangular(self.L[k0:k, k0:k], self.B[:, k0:k].T, lower=True, unit_diagonal=True)
             dgemm(
                 n - k, self.p, t,
                 -1.0, (self.buf_L, k, k0), (Buffer(y, "y"), 0, 0), 1.0, (self.buf_B, k, 0),
