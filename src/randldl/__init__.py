@@ -13,9 +13,9 @@ under one of three pivoting strategies:
 
 Entry points: :func:`factor` (whose defaults run ``rcp`` with the rank
 guard armed), :func:`solve`, :func:`solve_many`, and the
-:mod:`randldl.gallery` matrix families with their Matrix Market I/O.  The
-kernels behind them (``core``, ``pivot``, ``sketch``, ``metrics``) stay
-importable from their modules but are not part of the package namespace.
+:mod:`randldl.gallery` matrix families.  The kernels behind them (``core``,
+``pivot``, ``sketch``, ``metrics``) stay importable from their modules but
+are not part of the package namespace.
 """
 
 from .factor import (
@@ -31,13 +31,7 @@ from .factor import (
     factor,
     reconstruct,
 )
-from .gallery import (
-    FAMILIES,
-    MatrixSpec,
-    generate,
-    load_matrix_market,
-    save_matrix_market,
-)
+from .gallery import FAMILIES, MatrixSpec, generate
 from .metrics import GrowthStats, OpCounters, backward_error, jl_required_p, schur_snapshots
 from .pivot import BK_ALPHA, SBKP_ALPHA
 from .solve import SolveReport, solve, solve_many
@@ -74,6 +68,4 @@ __all__ = [
     "generate",
     "MatrixSpec",
     "FAMILIES",
-    "load_matrix_market",
-    "save_matrix_market",
 ]

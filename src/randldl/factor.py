@@ -292,12 +292,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class BlockDiag:
     """Block diagonal factor: an ordered tuple of (1,1) and (2,2) arrays.
 
-    The blocks, 2x2 ones symmetric, are copied into one read-only buffer, and
-    the read-only arrays the solve reads are derived from it once: ``den``,
-    each row's nonzero 1x1 pivot (else 1); ``pair_rows``, the first row of
-    each nonsingular 2x2 block, and ``pair``, its d11, d21, d22 and
-    ``det = d11*d22 - d21*d21``; ``zero_rows``, the rows of singular blocks;
-    and ``starts2``, the first row of every 2x2 block.
+    The blocks, finite and 2x2 ones symmetric, are copied into one read-only
+    buffer, and the read-only arrays the solve reads are derived from it
+    once: ``den``, each row's nonzero 1x1 pivot (else 1); ``pair_rows``, the
+    first row of each nonsingular 2x2 block, and ``pair``, its d11, d21, d22
+    and ``det = d11*d22 - d21*d21``; ``zero_rows``, the rows of singular
+    blocks; and ``starts2``, the first row of every 2x2 block.
     """
 
     def __init__(self, blocks) -> None:
@@ -306,6 +306,8 @@ class BlockDiag:
             raise ValueError("diagonal blocks must be 1x1 or 2x2")
         sizes = np.array([b.shape[0] for b in arrays], dtype=np.int64)
         flat = _frozen(np.concatenate([b.ravel() for b in arrays]) if arrays else np.zeros(0))
+        if not np.isfinite(flat).all():
+            raise ValueError("D contains NaN or Inf")
         self._flat = flat  # max_abs reads it; d12 == d21 adds no new value
         offs = np.cumsum(sizes * sizes) - sizes * sizes  # where each block starts in flat
         self.blocks = tuple(

@@ -1,4 +1,4 @@
-"""Symmetric test-matrix families and Matrix Market I/O.
+"""Symmetric test-matrix families.
 
 Families (all dense, float64, exactly symmetric):
 
@@ -15,50 +15,36 @@ Families (all dense, float64, exactly symmetric):
 - ``type7``  -- saddle-point matrix ``[[A1, W], [W^T, 0]]`` with symmetrized
   Gaussian ``A1`` (``n1 x n1``) and Gaussian ``W`` (``n1 x n2``).
 - ``type8``  -- same bordered shape with ``A1 = I``.
-- ``type9``  -- loaded from a Matrix Market file (``path`` required).
 - ``type10`` -- singular: ``W diag(lam) W^T`` with geometrically decaying
   negative eigenvalues ``lam_i = q^(1-i) / (1-q)``, ``q = 1 + sqrt(2)``;
   magnitudes below 1e-300 are flushed to exact zeros, so the numerical rank
   stays bounded (about 55) however large ``n`` grows.
 
-Matrix Market I/O wraps ``scipy.io``, imported on first use.  The loader
-checks the header before reading data and accepts real or integer fields,
-``coordinate`` or ``array`` formats, and ``symmetric`` storage (mirrored) or
-exactly symmetric ``general`` storage.  Other fields and symmetries,
-rectangular or oversized shapes, duplicate entries (a pair ``(i, j)``,
-``(j, i)`` in symmetric storage included), short packed arrays, data
-lines holding other than three values (coordinate) or one (array), and a
-NaN or Inf value raise ``ValueError`` naming the file.  Saving rejects a
-NaN or Inf by name before the symmetry check, as ``factor`` does, and
-writes shortest round-trip values, so a save/load round trip is bitwise.
+Number 9, a family read from files, is not built: ``scipy.io.mmread`` reads
+a Matrix Market file, and ``factor`` checks what it returns.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import hankel
 
-from .core import is_exactly_symmetric, mirror_lower
-from .core import require_finite, require_square, require_symmetric
+from .core import mirror_lower
 from .pivot import BK_ALPHA
 
 __all__ = [
     "MatrixSpec",
     "generate",
     "FAMILIES",
-    "load_matrix_market",
-    "save_matrix_market",
-    "MAX_FILE_DIM",
 ]
 
 # Dividing this into the decaying type1 diagonal reproduces the sequence of
 # pivots that the partial-pivoting growth analysis is tight for.
 _GROWTH_Q = 1.0 + 1.0 / BK_ALPHA
-
-MAX_FILE_DIM = 10000
 
 
 @dataclass(frozen=True)
@@ -69,16 +55,30 @@ class MatrixSpec:
     random families (3, 6, 7, 8, 10).  ``epsilon`` is the type1 coupling
     strength.  ``n2`` overrides the type7/type8 border width (default
     ``n // 4``; ``n1`` is then ``n - n2`` and may be given redundantly as a
-    consistency check).  ``path`` points type9 at a Matrix Market file.
+    consistency check).  A spec is validated once, here: ``n``, ``seed``
+    and any ``n1``, ``n2`` given must be integers (NumPy's too, stored as
+    ``int``), ``n`` positive and ``seed`` non-negative.
     """
 
     family: str
-    n: int = 0
+    n: int
     seed: int = 0
     epsilon: float = 1e-8
     n1: int | None = None
     n2: int | None = None
-    path: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("n", "seed", "n1", "n2"):
+            value = getattr(self, name)
+            if value is None and name in ("n1", "n2"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -214,13 +214,7 @@ def generate(spec: MatrixSpec) -> np.ndarray:
     fam = spec.family.lower()
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}; expected one of {sorted(FAMILIES)}")
-    if fam == "type9":
-        if not spec.path:
-            raise ValueError("type9 requires a path to a Matrix Market file")
-        return load_matrix_market(spec.path)
     n = spec.n
-    if n < 1:
-        raise ValueError(f"matrix dimension must be positive, got {n}")
     if fam == "type1":
         return _type1(n, spec.epsilon)
     if fam == "type2":
@@ -241,85 +235,6 @@ def generate(spec: MatrixSpec) -> np.ndarray:
 
 
 FAMILIES = frozenset(
-    {"type1", "type2", "type3", "type4", "type5", "type6", "type7", "type8", "type9", "type10"}
+    {"type1", "type2", "type3", "type4", "type5", "type6", "type7", "type8", "type10"}
 )
 
-
-def _data_line_count(path: str, tokens: int) -> int:
-    """Count the lines after the size line that are neither blank nor comments.
-
-    Each must hold exactly ``tokens`` values: mmread ignores any extra ones.
-    """
-    with open(path, "rb") as fh:
-        numbered = enumerate(map(bytes.strip, fh), 1)
-        lines = ((no, s) for no, s in numbered if s and not s.startswith(b"%"))
-        next(lines, None)  # the size line
-        count = 0
-        for no, line in lines:
-            found = len(line.split())
-            if found != tokens:
-                raise ValueError(f"line {no} holds {found} values, expected {tokens}")
-            count += 1
-        return count
-
-
-def _read_symmetric(path: str, max_dim: int) -> np.ndarray:
-    import scipy.io
-
-    rows, cols, _, fmt, field, symmetry = scipy.io.mminfo(path)
-    if field not in ("real", "integer"):
-        raise ValueError(f"unsupported field {field!r} (only real or integer)")
-    if symmetry not in ("symmetric", "general"):
-        raise ValueError(f"unsupported symmetry {symmetry!r} (only symmetric or general)")
-    if rows != cols:
-        raise ValueError(f"matrix is {rows}x{cols}, expected square")
-    if not 1 <= rows <= max_dim:
-        raise ValueError(f"dimension {rows} is outside 1..{max_dim}")
-    found = _data_line_count(path, 3 if fmt == "coordinate" else 1)
-    if fmt == "array" and symmetry == "symmetric":
-        # mmread fills a short packed array with zeros instead of raising.
-        expected = rows * (rows + 1) // 2
-        if found != expected:
-            raise ValueError(f"symmetric array needs {expected} values, found {found}")
-    m = scipy.io.mmread(path)
-    if fmt == "coordinate":
-        entries = m.nnz
-        m.sum_duplicates()
-        if m.nnz != entries:
-            raise ValueError("duplicate coordinate entries")
-        m = m.toarray()
-    a = np.asarray(m, dtype=np.float64)
-    require_finite(a)
-    if symmetry == "general" and not is_exactly_symmetric(a):
-        raise ValueError("general matrix is not exactly symmetric")
-    return a
-
-
-def load_matrix_market(path: str, max_dim: int = MAX_FILE_DIM) -> np.ndarray:
-    """Read a square symmetric real matrix from a Matrix Market file.
-
-    The header is checked before any data is read.  ``symmetric`` storage is
-    mirrored; ``general`` storage must be exactly symmetric.  Anything the
-    module notes exclude raises a ``ValueError`` that names ``path``.
-    """
-    try:
-        return _read_symmetric(path, max_dim)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def save_matrix_market(a: np.ndarray, path: str) -> None:
-    """Write a symmetric matrix as coordinate/real/symmetric Matrix Market.
-
-    Each value is written in the shortest text that reads back as the same
-    double, so loading reproduces the matrix bit for bit.
-    """
-    import scipy.io
-    from scipy.sparse import coo_array
-
-    a = require_square(a)
-    require_finite(a)
-    require_symmetric(a)
-    # A file object: mmwrite would turn a bare path "m" into "m.mtx".
-    with open(path, "wb") as fh:
-        scipy.io.mmwrite(fh, coo_array(np.tril(a)), symmetry="symmetric")

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import column_norms, require_square
 
@@ -19,8 +18,6 @@ __all__ = [
     "GrowthStats",
     "norm_1_inf",
     "norm_1_2",
-    "norm_1",
-    "linv_norm1",
     "schur_snapshots",
     "growth_from_snapshots",
     "jl_required_p",
@@ -75,25 +72,6 @@ def norm_1_2(a: np.ndarray) -> float:
     if a.ndim != 2 or a.size == 0:
         return 0.0
     return float(column_norms(a).max())
-
-
-def norm_1(a: np.ndarray) -> float:
-    """Induced 1-norm: largest absolute column sum."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        return 0.0
-    return float(np.abs(a).sum(axis=0).max())
-
-
-def linv_norm1(l: np.ndarray) -> float:
-    """1-norm of the inverse of a unit lower-triangular matrix.
-
-    Solves against the n columns of the identity, which is exactly n
-    unit-vector forward substitutions.
-    """
-    l = require_square(l, "L")
-    inv = solve_triangular(l, np.eye(l.shape[0]), lower=True, unit_diagonal=True)
-    return norm_1(inv)
 
 
 def schur_snapshots(a: np.ndarray, f: Factorization) -> list[tuple[float, float]]:
@@ -168,6 +146,10 @@ def backward_error(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     a = require_square(a, "A")
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    n = a.shape[0]
+    for name, v in (("x", x), ("b", b)):
+        if v.shape[:1] != (n,):
+            raise ValueError(f"A is {n} x {n}, but {name} has shape {v.shape}")
     resid = float(np.abs(a @ x - b).max())
     a_inf = float(np.abs(a).sum(axis=1).max())
     x_inf = float(np.abs(x).max()) if x.size else 0.0

@@ -12,8 +12,6 @@ from randldl.metrics import (
     backward_error,
     growth_from_snapshots,
     jl_required_p,
-    linv_norm1,
-    norm_1,
     norm_1_2,
     norm_1_inf,
     schur_snapshots,
@@ -27,24 +25,12 @@ from helpers import random_symmetric
 def test_norms_known_values():
     m = np.array([[1.0, 2.0], [-3.0, 4.0]])
     assert norm_1_inf(m) == 4.0
-    assert norm_1(m) == 6.0
     assert norm_1_2(m) == pytest.approx(math.sqrt(20.0), rel=1e-15)
 
 
 def test_norms_of_empty_inputs():
     assert norm_1_inf(np.zeros((0, 0))) == 0.0
-    assert norm_1(np.zeros((0, 0))) == 0.0
     assert norm_1_2(np.zeros((0, 0))) == 0.0
-
-
-def test_linv_norm1_known_value():
-    # inv([[1,0],[2,1]]) = [[1,0],[-2,1]], largest column sum 3.
-    assert linv_norm1(np.array([[1.0, 0.0], [2.0, 1.0]])) == pytest.approx(3.0, rel=1e-14)
-
-
-def test_linv_norm1_matches_dense_inverse(rng):
-    l = np.tril(rng.standard_normal((8, 8)), -1) + np.eye(8)
-    assert linv_norm1(l) == pytest.approx(norm_1(np.linalg.inv(l)), rel=1e-10)
 
 
 # -- growth --------------------------------------------------------------
@@ -123,3 +109,14 @@ def test_backward_error_zero_conventions():
     zero = np.zeros(2)
     assert backward_error(a, zero, zero) == 0.0
     assert backward_error(a, zero, np.array([1.0, 0.0])) == math.inf
+
+
+@pytest.mark.parametrize(
+    "x_len,b_len,message",
+    [(3, 2, r"x has shape \(3,\)"), (2, 3, r"b has shape \(3,\)"), (2, 1, r"b has shape \(1,\)")],
+    ids=["x", "b", "b-broadcast"],
+)
+def test_backward_error_checks_sizes_against_a(x_len, b_len, message):
+    # A b of length 1 would broadcast against A x instead of failing.
+    with pytest.raises(ValueError, match=rf"^A is 2 x 2, but {message}$"):
+        backward_error(np.eye(2), np.ones(x_len), np.ones(b_len))

@@ -1,6 +1,7 @@
 """Solve phase: substitution pipeline, singular handling, backward error."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,25 @@ def test_block_diag_rejects_malformed_blocks():
         BlockDiag([np.eye(3)])
     with pytest.raises(ValueError, match="symmetric"):
         BlockDiag([np.array([[1.0, 2.0], [3.0, 1.0]])])
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[[np.nan]], [[2.0]]],
+        [[[1.0]], [[-np.inf]]],
+        [[[np.inf, 1.0], [1.0, 0.0]]],
+        [[[0.0, np.nan], [np.nan, 1.0]]],
+    ],
+    ids=["nan-1x1", "inf-1x1", "inf-2x2", "nan-2x2-offdiag"],
+)
+def test_block_diag_rejects_non_finite_blocks(blocks):
+    # Named before any determinant is formed, and before the symmetry check
+    # a NaN pair would fail as asymmetry.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^D contains NaN or Inf$"):
+            BlockDiag([np.array(b) for b in blocks])
 
 
 def _blockwise_reference(blocks: list[np.ndarray], z: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -149,6 +169,12 @@ def test_round_trip_backward_error(strategy):
     assert not report.singular
     assert report.backward_error <= 1e-12
     assert report.backward_error == backward_error(a, report.x, b)
+
+
+def test_solve_rejects_a_of_another_size():
+    f = factor(np.eye(4), strategy="bkpp")
+    with pytest.raises(ValueError, match=r"A is 5 x 5, but x has shape \(4,\)"):
+        solve(f, np.ones(4), a=np.eye(5))
 
 
 def test_solve_many_inverts_the_matrix():
