@@ -46,6 +46,10 @@ __all__ = [
 # pivots that the partial-pivoting growth analysis is tight for.
 _GROWTH_Q = 1.0 + 1.0 / BK_ALPHA
 
+FAMILIES = frozenset(
+    {"type1", "type2", "type3", "type4", "type5", "type6", "type7", "type8", "type10"}
+)
+
 
 @dataclass(frozen=True)
 class MatrixSpec:
@@ -55,9 +59,11 @@ class MatrixSpec:
     random families (3, 6, 7, 8, 10).  ``epsilon`` is the type1 coupling
     strength.  ``n2`` overrides the type7/type8 border width (default
     ``n // 4``; ``n1`` is then ``n - n2`` and may be given redundantly as a
-    consistency check).  A spec is validated once, here: ``n``, ``seed``
-    and any ``n1``, ``n2`` given must be integers (NumPy's too, stored as
-    ``int``), ``n`` positive and ``seed`` non-negative.
+    consistency check).  A spec is validated once, here: ``family`` must
+    name one of ``FAMILIES`` (in any case, stored lower-case), ``epsilon``
+    must be a finite real (stored as ``float``), ``n``, ``seed`` and any
+    ``n1``, ``n2`` given must be integers (NumPy's too, stored as ``int``),
+    ``n`` positive and ``seed`` non-negative.
     """
 
     family: str
@@ -68,6 +74,15 @@ class MatrixSpec:
     n2: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, str):
+            raise ValueError(f"family must be a string, got {self.family!r}")
+        if self.family.lower() not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; expected one of {sorted(FAMILIES)}")
+        object.__setattr__(self, "family", self.family.lower())
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not math.isfinite(eps):
+            raise ValueError(f"epsilon must be a finite real, got {eps!r}")
+        object.__setattr__(self, "epsilon", float(eps))
         for name in ("n", "seed", "n1", "n2"):
             value = getattr(self, name)
             if value is None and name in ("n1", "n2"):
@@ -211,9 +226,7 @@ def _type10(n: int, seed: int) -> np.ndarray:
 
 def generate(spec: MatrixSpec) -> np.ndarray:
     """Build the matrix described by ``spec``."""
-    fam = spec.family.lower()
-    if fam not in FAMILIES:
-        raise ValueError(f"unknown family {spec.family!r}; expected one of {sorted(FAMILIES)}")
+    fam = spec.family
     n = spec.n
     if fam == "type1":
         return _type1(n, spec.epsilon)
@@ -232,9 +245,4 @@ def generate(spec: MatrixSpec) -> np.ndarray:
     if fam == "type8":
         return _bordered(n, spec.seed, spec.n1, spec.n2, identity_block=True)
     return _type10(n, spec.seed)
-
-
-FAMILIES = frozenset(
-    {"type1", "type2", "type3", "type4", "type5", "type6", "type7", "type8", "type10"}
-)
 

@@ -1,5 +1,6 @@
 """Matrix gallery families."""
 
+import math
 import os
 import subprocess
 import sys
@@ -41,10 +42,19 @@ def test_family_registry():
         {"n1": True},
         {"n2": 2.5},
         {"n2": np.float64(3.0)},
+        {"family": None},
+        {"family": 7},
+        {"family": "type11"},
+        {"epsilon": float("nan")},
+        {"epsilon": -math.inf},
+        {"epsilon": "1e-8"},
+        {"epsilon": True},
     ],
     ids=[
         "n-zero", "n-negative", "n-float", "n-bool", "n-none", "seed-negative",
         "seed-float", "seed-bool", "n1-float", "n1-bool", "n2-float", "n2-numpy-float",
+        "family-none", "family-int", "family-unknown", "epsilon-nan", "epsilon-inf",
+        "epsilon-string", "epsilon-bool",
     ],
 )
 def test_spec_validation(kwargs):
@@ -59,6 +69,22 @@ def test_spec_stores_numpy_integers_as_int():
     assert [type(getattr(spec, f)) for f in ("n", "seed", "n1", "n2")] == [int] * 4
     assert (spec.n, spec.seed, spec.n1, spec.n2) == (12, 3, 9, 3)
     assert np.array_equal(generate(spec), gen("type7", n=12, seed=3, n2=3))
+
+
+def test_spec_normalises_family_and_epsilon():
+    spec = MatrixSpec("TYPE1", 12, epsilon=np.float32(0.5))
+    assert (spec.family, spec.epsilon, type(spec.epsilon)) == ("type1", 0.5, float)
+    assert np.array_equal(generate(spec), gen("type1", n=12, epsilon=0.5))
+    assert MatrixSpec("type1", 12, epsilon=0).epsilon == 0.0
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_family_is_dense_float64_and_exactly_symmetric(family):
+    # The contract factor relies on, and a fixed seed gives the same matrix.
+    a = gen(family, n=12, seed=4)
+    assert a.shape == (12, 12) and a.dtype == np.float64
+    assert np.isfinite(a).all() and is_exactly_symmetric(a)
+    assert np.array_equal(a, gen(family, n=12, seed=4))
 
 
 # -- growth-trap family ------------------------------------------------------
