@@ -18,7 +18,7 @@ from randldl.metrics import growth_from_snapshots
 # 1. Build the growth trap at n = 100.
 # ----------------------------------------------------------------------
 n = 100
-a = generate(MatrixSpec(family="type1", n=n, epsilon=1e-8))
+a = generate(MatrixSpec(family="type1", n=n))
 print(f"decaying diagonal head: {np.diag(a)[:4]}")
 
 # ----------------------------------------------------------------------

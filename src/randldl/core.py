@@ -33,11 +33,14 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 
 import numpy as np
 from scipy.linalg import cython_blas
 
 __all__ = [
+    "require_int",
+    "require_real",
     "require_square",
     "require_finite",
     "require_symmetric",
@@ -52,9 +55,28 @@ __all__ = [
 ]
 
 
+def require_int(value, name: str) -> int:
+    """``value`` (NumPy's integers too) as an ``int``; a bool or non-integer raises by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_real(a, name: str) -> np.ndarray:
+    """``a`` as float64; complex input raises ``ValueError`` by name.
+
+    The cast would drop an imaginary part with only a ``ComplexWarning``.
+    The check reads the dtype alone, so it costs the same at any size.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got complex input")
+    return a.astype(np.float64, copy=False)
+
+
 def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is a 2-D square float array and return it as float64."""
-    a = np.asarray(a, dtype=np.float64)
+    """Validate that ``a`` is a 2-D square real array and return it as float64."""
+    a = require_real(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] == 0:

@@ -110,7 +110,6 @@ instruction; see :class:`randldl.metrics.OpCounters`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -125,6 +124,7 @@ from .core import (
     mirror_lower,
     require_disjoint,
     require_finite,
+    require_int,
     require_square,
     require_symmetric,
     sym_swap,
@@ -258,10 +258,7 @@ class FactorConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", Strategy(self.strategy))
         for name in ("p", "b", "q", "seed", "robust_r"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if not isinstance(self.audit_sketch, (bool, np.bool_)):
             raise ValueError(f"audit_sketch must be a bool, got {self.audit_sketch!r}")
         object.__setattr__(self, "audit_sketch", bool(self.audit_sketch))

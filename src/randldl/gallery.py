@@ -4,7 +4,7 @@ Families (all dense, float64, exactly symmetric):
 
 - ``type1``  -- block matrix engineered so partial-pivoting strategies suffer
   exponential element growth: a decaying diagonal coupled to an all-ones
-  block, bordered by ``(1 - epsilon) I``.  Requires even ``n >= 6``.
+  block, bordered by ``(1 - 1e-8) I``.  Requires even ``n >= 6``.
 - ``type2``  -- sparse tridiagonal-plus-corner pattern on which rook-style
   searches scan many columns per pivot.
 - ``type3``  -- random Hankel (constant anti-diagonals, Gaussian generator).
@@ -13,7 +13,8 @@ Families (all dense, float64, exactly symmetric):
 - ``type6``  -- dense symmetric Gaussian: lower triangle i.i.d. N(0,1),
   mirrored.
 - ``type7``  -- saddle-point matrix ``[[A1, W], [W^T, 0]]`` with symmetrized
-  Gaussian ``A1`` (``n1 x n1``) and Gaussian ``W`` (``n1 x n2``).
+  Gaussian ``A1`` (``n1 x n1``) and Gaussian ``W`` (``n1 x n2``), bordered
+  by ``n2 = n // 4`` rows, so ``n1 = n - n // 4``.  Requires ``n >= 4``.
 - ``type8``  -- same bordered shape with ``A1 = I``.
 - ``type10`` -- singular: ``W diag(lam) W^T`` with geometrically decaying
   negative eigenvalues ``lam_i = q^(1-i) / (1-q)``, ``q = 1 + sqrt(2)``;
@@ -27,13 +28,12 @@ a Matrix Market file, and ``factor`` checks what it returns.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import hankel
 
-from .core import mirror_lower
+from .core import mirror_lower, require_int
 from .pivot import BK_ALPHA
 
 __all__ = [
@@ -46,54 +46,8 @@ __all__ = [
 # pivots that the partial-pivoting growth analysis is tight for.
 _GROWTH_Q = 1.0 + 1.0 / BK_ALPHA
 
-FAMILIES = frozenset(
-    {"type1", "type2", "type3", "type4", "type5", "type6", "type7", "type8", "type10"}
-)
-
-
-@dataclass(frozen=True)
-class MatrixSpec:
-    """Recipe for one test matrix.
-
-    ``family`` selects the builder; ``n`` its dimension.  ``seed`` feeds the
-    random families (3, 6, 7, 8, 10).  ``epsilon`` is the type1 coupling
-    strength.  ``n2`` overrides the type7/type8 border width (default
-    ``n // 4``; ``n1`` is then ``n - n2`` and may be given redundantly as a
-    consistency check).  A spec is validated once, here: ``family`` must
-    name one of ``FAMILIES`` (in any case, stored lower-case), ``epsilon``
-    must be a finite real (stored as ``float``), ``n``, ``seed`` and any
-    ``n1``, ``n2`` given must be integers (NumPy's too, stored as ``int``),
-    ``n`` positive and ``seed`` non-negative.
-    """
-
-    family: str
-    n: int
-    seed: int = 0
-    epsilon: float = 1e-8
-    n1: int | None = None
-    n2: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.family, str):
-            raise ValueError(f"family must be a string, got {self.family!r}")
-        if self.family.lower() not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {sorted(FAMILIES)}")
-        object.__setattr__(self, "family", self.family.lower())
-        eps = self.epsilon
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not math.isfinite(eps):
-            raise ValueError(f"epsilon must be a finite real, got {eps!r}")
-        object.__setattr__(self, "epsilon", float(eps))
-        for name in ("n", "seed", "n1", "n2"):
-            value = getattr(self, name)
-            if value is None and name in ("n1", "n2"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+# type1 couples its two halves through the block (1 - _EPSILON) I.
+_EPSILON = 1e-8
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -130,20 +84,14 @@ def _growth_diagonal(count: int) -> np.ndarray:
     return d
 
 
-def _type1(n: int, epsilon: float) -> np.ndarray:
+def _type1(n: int) -> np.ndarray:
     if n % 2 != 0 or n < 6:
         raise ValueError(f"type1 requires even n >= 6, got {n}")
     m = n // 2
-    a1 = np.zeros((m, m))
-    a1[np.arange(m - 2), np.arange(m - 2)] = _growth_diagonal(m - 2)
-    a1[:, m - 2 :] = 1.0
-    a1[m - 2 :, :] = 1.0
-    a = np.zeros((n, n))
-    a[:m, :m] = a1
-    coupling = (1.0 - epsilon) * np.eye(m)
-    a[:m, m:] = coupling
-    a[m:, :m] = coupling
-    return a
+    a1 = np.ones((m, m))
+    a1[: m - 2, : m - 2] = np.diag(_growth_diagonal(m - 2))
+    coupling = (1.0 - _EPSILON) * np.eye(m)
+    return np.block([[a1, coupling], [coupling, np.zeros((m, m))]])
 
 
 def _type2(n: int) -> np.ndarray:
@@ -160,8 +108,7 @@ def _type2(n: int) -> np.ndarray:
 
 
 def _type3(n: int, seed: int) -> np.ndarray:
-    gen = _rng(seed)
-    anti = gen.standard_normal(2 * n - 1)
+    anti = _rng(seed).standard_normal(2 * n - 1)
     return hankel(anti[:n], anti[n - 1 :])
 
 
@@ -178,25 +125,16 @@ def _type5(n: int) -> np.ndarray:
 
 
 def _type6(n: int, seed: int) -> np.ndarray:
-    gen = _rng(seed)
-    g = gen.standard_normal((n, n))
+    g = _rng(seed).standard_normal((n, n))
     return np.tril(g) + np.tril(g, -1).T
 
 
-def _split_border(n: int, n1: int | None, n2: int | None) -> tuple[int, int]:
-    if n2 is None:
-        n2 = n - n1 if n1 is not None else n // 4
-    if n1 is None:
-        n1 = n - n2
-    if n1 + n2 != n:
-        raise ValueError(f"n1 + n2 must equal n: {n1} + {n2} != {n}")
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"border split needs n1 >= 1 and n2 >= 1, got {n1}, {n2}")
-    return n1, n2
-
-
-def _bordered(n: int, seed: int, n1: int | None, n2: int | None, identity_block: bool) -> np.ndarray:
-    n1, n2 = _split_border(n, n1, n2)
+def _bordered(n: int, seed: int, identity_block: bool) -> np.ndarray:
+    if n < 4:
+        family = "type8" if identity_block else "type7"
+        raise ValueError(f"{family} requires n >= 4, got {n}")
+    n2 = n // 4
+    n1 = n - n2
     gen = _rng(seed)
     if identity_block:
         a1 = np.eye(n1)
@@ -204,16 +142,11 @@ def _bordered(n: int, seed: int, n1: int | None, n2: int | None, identity_block:
         g = gen.standard_normal((n1, n1))
         a1 = (g + g.T) / math.sqrt(2.0)
     w = gen.standard_normal((n1, n2))
-    a = np.zeros((n, n))
-    a[:n1, :n1] = a1
-    a[:n1, n1:] = w
-    a[n1:, :n1] = w.T
-    return a
+    return np.block([[a1, w], [w.T, np.zeros((n2, n2))]])
 
 
 def _type10(n: int, seed: int) -> np.ndarray:
-    gen = _rng(seed)
-    w = gen.standard_normal((n, n))
+    w = _rng(seed).standard_normal((n, n))
     q = 1.0 + math.sqrt(2.0)
     i = np.arange(n, dtype=np.float64)
     with np.errstate(under="ignore"):
@@ -224,25 +157,51 @@ def _type10(n: int, seed: int) -> np.ndarray:
     return a
 
 
+# Each family's builder, called as builder(n, seed).
+_BUILDERS = {
+    "type1": lambda n, seed: _type1(n),
+    "type2": lambda n, seed: _type2(n),
+    "type3": _type3,
+    "type4": lambda n, seed: _type4(n),
+    "type5": lambda n, seed: _type5(n),
+    "type6": _type6,
+    "type7": lambda n, seed: _bordered(n, seed, identity_block=False),
+    "type8": lambda n, seed: _bordered(n, seed, identity_block=True),
+    "type10": _type10,
+}
+
+FAMILIES = frozenset(_BUILDERS)
+
+
+@dataclass(frozen=True)
+class MatrixSpec:
+    """Recipe for one test matrix.
+
+    ``family`` selects the builder; ``n`` its dimension.  ``seed`` feeds the
+    random families (3, 6, 7, 8, 10).  A spec is validated once, here:
+    ``family`` must name one of ``FAMILIES`` (in any case, stored
+    lower-case), ``n`` and ``seed`` must be integers (NumPy's too, stored as
+    ``int``), ``n`` positive and ``seed`` non-negative.
+    """
+
+    family: str
+    n: int
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.family, str):
+            raise ValueError(f"family must be a string, got {self.family!r}")
+        if self.family.lower() not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; expected one of {sorted(FAMILIES)}")
+        object.__setattr__(self, "family", self.family.lower())
+        for name in ("n", "seed"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
+
 def generate(spec: MatrixSpec) -> np.ndarray:
     """Build the matrix described by ``spec``."""
-    fam = spec.family
-    n = spec.n
-    if fam == "type1":
-        return _type1(n, spec.epsilon)
-    if fam == "type2":
-        return _type2(n)
-    if fam == "type3":
-        return _type3(n, spec.seed)
-    if fam == "type4":
-        return _type4(n)
-    if fam == "type5":
-        return _type5(n)
-    if fam == "type6":
-        return _type6(n, spec.seed)
-    if fam == "type7":
-        return _bordered(n, spec.seed, spec.n1, spec.n2, identity_block=False)
-    if fam == "type8":
-        return _bordered(n, spec.seed, spec.n1, spec.n2, identity_block=True)
-    return _type10(n, spec.seed)
-
+    return _BUILDERS[spec.family](spec.n, spec.seed)

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import column_norms, require_square
+from .core import column_norms, require_int, require_real, require_square
 
 if TYPE_CHECKING:
     from .factor import Factorization
@@ -126,6 +126,7 @@ def jl_required_p(n: int, epsilon: float, delta: float) -> int:
     which makes a p-row Gaussian sketch an epsilon-isometry on the pairwise
     differences of n vectors with failure probability at most delta.
     """
+    n = require_int(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     if not (0.0 < epsilon < 1.0):
@@ -144,8 +145,8 @@ def backward_error(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     ``inf`` otherwise.
     """
     a = require_square(a, "A")
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    x = require_real(x, "x")
+    b = require_real(b, "b")
     n = a.shape[0]
     for name, v in (("x", x), ("b", b)):
         if v.shape[:1] != (n,):

@@ -13,8 +13,8 @@ factorization has already zeroed negligible trailing blocks).
 The factorization is checked once, when it is built: ``L`` must be finite
 and ``perm`` a permutation, both are then read-only, and ``D`` is frozen
 with its block arrays derived.  Each solve therefore checks only its
-right-hand side (a NaN or Inf raises ``ValueError``) and runs the two
-triangular solves unchecked, in arrays it made itself.
+right-hand side (complex input, a NaN or an Inf raises ``ValueError``) and
+runs the two triangular solves unchecked, in arrays it made itself.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dtrsm, dtrsv
 
+from .core import require_real
 from .factor import BlockDiag, Factorization
 from .metrics import backward_error
 
@@ -100,7 +101,7 @@ def solve(f: Factorization, b: np.ndarray, a: np.ndarray | None = None) -> Solve
     When the original matrix ``a`` is supplied, the report carries the
     relative backward error ``|A x - b|_inf / (|A|_inf |x|_inf)``.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = require_real(b, "right-hand side")
     if b.shape != (f.n,):
         raise ValueError(f"right-hand side shape {b.shape} does not match n={f.n}")
     x, singular = _substitute(f, b)
@@ -116,7 +117,7 @@ def solve_many(f: Factorization, b_rhs: np.ndarray) -> np.ndarray:
     Singular blocks zero the affected components in every column (same
     convention as :func:`solve`, without the per-column flag).
     """
-    b_rhs = np.asarray(b_rhs, dtype=np.float64)
+    b_rhs = require_real(b_rhs, "right-hand sides")
     if b_rhs.ndim != 2 or b_rhs.shape[0] != f.n:
         raise ValueError(
             f"right-hand sides must be ({f.n}, k), got {b_rhs.shape}"

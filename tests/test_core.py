@@ -32,8 +32,14 @@ def test_require_square_accepts_square():
 
 @pytest.mark.parametrize(
     "bad",
-    [np.zeros((2, 3)), np.zeros(4), np.zeros((0, 0)), np.zeros((2, 2, 2))],
-    ids=["rectangular", "one-dimensional", "empty", "three-dimensional"],
+    [
+        np.zeros((2, 3)),
+        np.zeros(4),
+        np.zeros((0, 0)),
+        np.zeros((2, 2, 2)),
+        np.eye(2, dtype=np.complex128),
+    ],
+    ids=["rectangular", "one-dimensional", "empty", "three-dimensional", "complex"],
 )
 def test_require_square_rejects(bad):
     with pytest.raises(ValueError):

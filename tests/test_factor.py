@@ -882,7 +882,7 @@ def test_schur_snapshots_give_growth_factors():
 def test_schur_snapshots_reject_a_mismatched_input():
     a = random_symmetric(20, seed=8)
     f = factor(a, strategy="rcp", seed=1)
-    for wrong in (a[:19, :19], np.zeros((21, 21)), a[:, :19]):
+    for wrong in (a[:19, :19], np.zeros((21, 21)), a[:, :19], a + 1j):
         with pytest.raises(ValueError, match="A "):
             schur_snapshots(wrong, f)
 
@@ -1088,8 +1088,12 @@ def test_config_is_frozen():
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), "NaN or Inf"),
         (np.array([[np.inf, 0.0], [0.0, 1.0]]), "NaN or Inf"),
         (np.array([[1.0, 0.0], [0.0, -np.inf]]), "NaN or Inf"),
+        (np.array([[1.0, 1j], [1j, 1.0]]), "A must be real"),
     ],
-    ids=["empty", "rectangular", "asymmetric", "nan", "nan-off-diagonal", "inf", "neg_inf"],
+    ids=[
+        "empty", "rectangular", "asymmetric", "nan", "nan-off-diagonal", "inf", "neg_inf",
+        "complex",
+    ],
 )
 def test_input_validation(a, match):
     with pytest.raises(ValueError, match=match):

@@ -77,6 +77,10 @@ def test_required_sketch_size_monotone_in_n():
 def test_required_sketch_size_validation():
     with pytest.raises(ValueError, match="n"):
         jl_required_p(0, 0.5, 0.5)
+    for bad in (2.5, True, 10.0, "10"):
+        with pytest.raises(ValueError, match=r"^n must be an integer"):
+            jl_required_p(bad, 0.5, 0.05)
+    assert jl_required_p(np.int64(1000), 0.5, 0.05) == 538
     with pytest.raises(ValueError, match="epsilon"):
         jl_required_p(10, 1.0, 0.5)
     with pytest.raises(ValueError, match="delta"):
@@ -120,3 +124,11 @@ def test_backward_error_checks_sizes_against_a(x_len, b_len, message):
     # A b of length 1 would broadcast against A x instead of failing.
     with pytest.raises(ValueError, match=rf"^A is 2 x 2, but {message}$"):
         backward_error(np.eye(2), np.ones(x_len), np.ones(b_len))
+
+
+@pytest.mark.parametrize("name", ["A", "x", "b"])
+def test_backward_error_rejects_complex_input(name):
+    args = {"A": np.eye(2), "x": np.ones(2), "b": np.ones(2)}
+    args[name] = args[name] + 1j
+    with pytest.raises(ValueError, match=rf"^{name} must be real"):
+        backward_error(args["A"], args["x"], args["b"])

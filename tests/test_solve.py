@@ -257,6 +257,16 @@ def test_solve_rejects_non_finite_right_hand_side(bad):
         solve_many(f, np.column_stack([np.ones(6), b]))
 
 
+def test_solve_rejects_complex_right_hand_side():
+    # The imaginary part would otherwise be dropped with only a warning.
+    f = factor(random_symmetric(6, seed=1), strategy="bkpp")
+    b = np.ones(6, dtype=np.complex128)
+    with pytest.raises(ValueError, match="right-hand side must be real"):
+        solve(f, b)
+    with pytest.raises(ValueError, match="right-hand sides must be real"):
+        solve_many(f, np.column_stack([b, b]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_factorization_rejects_non_finite_L(bad):
     L = np.eye(3)
