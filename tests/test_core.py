@@ -14,6 +14,8 @@ from randldl.core import (
     is_exactly_symmetric,
     mirror_lower,
     require_disjoint,
+    require_int,
+    require_real,
     require_square,
     require_symmetric,
     sym_swap,
@@ -44,6 +46,35 @@ def test_require_square_accepts_square():
 def test_require_square_rejects(bad):
     with pytest.raises(ValueError):
         require_square(bad)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [3, np.int64(3), np.int32(3), np.uint8(3)],
+    ids=["int", "int64", "int32", "uint8"],
+)
+def test_require_int_stores_integers_as_int(value):
+    out = require_int(value, "k")
+    assert type(out) is int and out == 3
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.bool_(True), 3.0, np.float64(3.0), "3", None],
+    ids=["bool", "numpy-bool", "float", "numpy-float", "string", "none"],
+)
+def test_require_int_rejects_by_name(value):
+    with pytest.raises(ValueError, match=r"^k must be an integer, got "):
+        require_int(value, "k")
+
+
+def test_require_real_casts_real_and_rejects_complex_by_name():
+    a = require_real([[1, 2], [3, 4]], "A")
+    assert a.dtype == np.float64
+    assert np.array_equal(a, [[1.0, 2.0], [3.0, 4.0]])
+    for bad in (np.eye(2, dtype=np.complex64), [1.0, 2j], 1j):
+        with pytest.raises(ValueError, match=r"^A must be real, got complex input$"):
+            require_real(bad, "A")
 
 
 def test_require_symmetric_rejects_asymmetric():
