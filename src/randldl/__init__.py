@@ -14,8 +14,8 @@ under one of three pivoting strategies:
 Entry points: :func:`factor` (whose defaults run ``rcp`` with the rank
 guard armed), :func:`solve`, :func:`solve_many`, and the
 :mod:`randldl.gallery` matrix families.  The kernels behind them (``core``,
-``pivot``, ``sketch``, ``metrics``) stay importable from their modules but
-are not part of the package namespace.
+``pivot``, ``metrics``, and ``factor``'s ``partial_qrcp``) stay importable
+from their modules but are not part of the package namespace.
 """
 
 from .factor import (

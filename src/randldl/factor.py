@@ -13,24 +13,21 @@ matrix, where ``L`` is unit lower triangular and ``D`` is block diagonal with
   be exponential on adversarial inputs.
 * ``bbk``: bounded (rook) pivoting.  Bounded multipliers, but the rook walk
   can touch many columns per step in the worst case.  A walk forms its first
-  ``_ROOK_HOPS`` columns; a longer one reads every further column's
-  off-diagonal maximum from one table built over the stored lower triangle
-  (see :mod:`randldl.pivot`), which is exact only with an empty panel.  So a
-  long walk inside a panel defers (the panel is flushed and the step rerun
-  at the next panel's start, like a 2x2 pivot that would overflow the
-  panel), and a panel whose first walk runs long ends after that step:
-  panels stay one step wide while walks keep running long, and a short walk
-  restores width ``b``.  While walks keep running long, each walk reads the
-  table from its first hop instead of forming ``_ROOK_HOPS`` columns first;
-  a walk that turns out short then costs one table built or refreshed for
-  nothing, and the next walk forms its columns again.  A run of long walks
-  builds the table once.  After each of its one-step panels the next walk
+  ``_ROOK_HOPS`` columns; a longer one, at a panel's first step, reads every
+  further column's off-diagonal maximum from a table kept over the stored
+  lower triangle (see :mod:`randldl.pivot`), which is exact only with an
+  empty panel.  Inside a panel a long walk forms every column it visits.
+  Either way a long walk ends its panel after its step: panels stay one
+  step wide while walks keep running long, and a short walk restores width
+  ``b``.  While the table is kept, each walk reads it from its first hop
+  instead of forming ``_ROOK_HOPS`` columns first; a walk that turns out
+  short then costs one refresh of the table for nothing, and the next walk
+  forms its columns again.  A run of long walks scans every column once,
+  at its first walk.  After each of its one-step panels the next walk
   re-scans only the stale columns: those of the rows the step touched,
   those with a nonzero entry in these rows, and those zero off their
-  diagonal.  When more than ``_REFRESH`` of the columns are stale, it
-  builds the table whole.  Every hop is still charged the ``m - 2``
-  comparisons of a column scan, and a deferred search is charged only
-  once, by its rerun.
+  diagonal.  Every hop is still charged the ``m - 2`` comparisons of a
+  column scan.
 
 Elimination is organized in panels of width ``b``.  Inside a panel only the
 current pivot columns are updated (each formed from the frozen trailing
@@ -46,7 +43,7 @@ Ltp^T`` is one t x p triangular solve ``y = Lpp^-1 B[:, panel]^T`` and one
 product ``Ltp @ y``.  Every swap, with either q, exchanges two columns of
 the sketch.  ``dgeqp3`` scales its column norms, so they neither overflow
 nor underflow and a power-of-two scaling of the sketch leaves the choice as
-is.
+is (see :func:`partial_qrcp`).
 
 Only the lower triangle of the active block ``A[k:, k:]`` is kept, as in
 LAPACK ``dsytrf``/``dlasyf``, and ``A``, ``L`` and the panel's ``W`` are
@@ -115,6 +112,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg.lapack import dgeqp3
 
 from .core import (
     Buffer,
@@ -125,6 +123,7 @@ from .core import (
     require_disjoint,
     require_finite,
     require_int,
+    require_real,
     require_square,
     require_symmetric,
     sym_swap,
@@ -138,10 +137,9 @@ from .pivot import (
     PivotKind,
     _bbk_from_data,
     _bkpp_from_data,
-    _offdiag_table,
     _sbkp_from_data,
+    _scan_max_off,
 )
-from .sketch import partial_qrcp
 
 __all__ = [
     "Strategy",
@@ -170,19 +168,9 @@ _STRIP = 128
 # table.  On type2, whose walks visit every remaining column, the table makes
 # each further hop a list lookup.  The other gallery families (type1, type3-8
 # and type10 at n = 512, type6 also at 1024) never walk this far.  A walk that
-# visits more columns runs long; the walk after a long one reads the table
-# from its first hop, since a run of long walks needs the table at every step.
+# visits more columns runs long; while the table is kept, the next walk reads
+# it from its first hop, since a run of long walks needs it at every step.
 _ROOK_HOPS = 8
-
-# Largest share of the next active block's columns that a long walk's
-# one-step panel may leave stale for the off-diagonal table to be kept; past
-# it the next walk builds the table whole.  Re-scanning stale columns one by
-# one cost as much as one build at these shares of m: 0.47 at m = 8, 0.27 at
-# 16, 0.13-0.20 for m = 32-256, 0.47 at 512 and 0.89 at 1024 (one core of
-# the 2-core x86-64 host above).  A quarter stays within twice a build's
-# cost throughout, and keeps type2's tables, 3 stale columns a step, down
-# to m = 12.
-_REFRESH = 0.25
 
 # Spare entries after each column of the working copy of A.  When n is a
 # multiple of 512 (n = 1024, 2048), a row of A, which every swap reads,
@@ -202,6 +190,7 @@ PAT_SINGLE = 0
 PAT_PAIR_START = 1
 PAT_PAIR_END = 2
 PAT_DEFICIENT = 3
+_PAT_LABELS = (PAT_SINGLE, PAT_PAIR_START, PAT_PAIR_END, PAT_DEFICIENT)
 
 
 class NumericalError(RuntimeError):
@@ -289,20 +278,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class BlockDiag:
     """Block diagonal factor: an ordered tuple of (1,1) and (2,2) arrays.
 
-    The blocks, finite and 2x2 ones symmetric, are copied into one read-only
-    buffer, and the read-only arrays the solve reads are derived from it
-    once: ``den``, each row's nonzero 1x1 pivot (else 1); ``pair_rows``, the
-    first row of each nonsingular 2x2 block, and ``pair``, its d11, d21, d22
-    and ``det = d11*d22 - d21*d21``; ``zero_rows``, the rows of singular
-    blocks; and ``starts2``, the first row of every 2x2 block.
+    The blocks, real, finite and 2x2 ones symmetric, are copied into one
+    read-only buffer, and the read-only arrays the solve reads are derived
+    from it once: ``den``, each row's nonzero 1x1 pivot (else 1);
+    ``pair_rows``, the first row of each nonsingular 2x2 block, and
+    ``pair``, its d11, d21, d22 and ``det = d11*d22 - d21*d21``;
+    ``zero_rows``, the rows of singular blocks; and ``starts2``, the first
+    row of every 2x2 block.
     """
 
     def __init__(self, blocks) -> None:
-        arrays = [np.asarray(b, dtype=np.float64) for b in blocks]
+        arrays = [np.asarray(b) for b in blocks]
         if any(b.shape not in ((1, 1), (2, 2)) for b in arrays):
             raise ValueError("diagonal blocks must be 1x1 or 2x2")
         sizes = np.array([b.shape[0] for b in arrays], dtype=np.int64)
-        flat = _frozen(np.concatenate([b.ravel() for b in arrays]) if arrays else np.zeros(0))
+        # One dtype check and cast for all the blocks: concatenating a
+        # complex block makes the whole buffer complex.
+        flat = np.concatenate([b.ravel() for b in arrays]) if arrays else np.zeros(0)
+        flat = _frozen(require_real(flat, "D"))
         if not np.isfinite(flat).all():
             raise ValueError("D contains NaN or Inf")
         self._flat = flat  # max_abs reads it; d12 == d21 adds no new value
@@ -341,9 +334,10 @@ class Factorization:
 
     ``pattern[i]`` labels index i as a single pivot, the start or end of a
     2x2 pivot pair, or part of the numerically zero tail of a rank-deficient
-    input.  ``L``, ``perm``, ``D``'s size and ``pattern``'s pairs are checked
-    once, here, and then ``L``, ``perm`` and ``pattern`` are made read-only,
-    so a solve need not check them again.
+    input: an integer ``PAT_*`` label.  ``L``, ``perm``, ``D``'s size and
+    ``pattern``'s labels and pairs are checked once, here, and then ``L``,
+    ``perm`` and ``pattern`` are made read-only, so a solve need not check
+    them again.
     """
 
     perm: np.ndarray
@@ -374,7 +368,12 @@ class Factorization:
         pattern, starts2 = self.pattern, self.D.starts2
         if (
             pattern.shape != (n,)
-            or not np.array_equal(np.flatnonzero(pattern == PAT_PAIR_START), starts2)
+            or pattern.dtype.kind not in "iu"
+            or not np.isin(pattern, _PAT_LABELS).all()
+        ):
+            raise ValueError(f"pattern must hold {n} integer labels PAT_*, got {pattern!r}")
+        if (
+            not np.array_equal(np.flatnonzero(pattern == PAT_PAIR_START), starts2)
             or not np.array_equal(np.flatnonzero(pattern == PAT_PAIR_END), starts2 + 1)
         ):
             raise ValueError("pattern's 2x2 pairs do not match D's 2x2 blocks")
@@ -443,6 +442,29 @@ def _block_multipliers(
     if c1 is not None and abs(det) < (1.0 - alpha * alpha) * d21 * d21 * (1.0 - 1e-12):
         raise NumericalError(f"2x2 block at step {k} violates its determinant bound", k, dblock)
     return lcols, dblock, lmax
+
+
+def partial_qrcp(b: np.ndarray, q: int) -> list[int]:
+    """First q column pivots of Householder QR with column pivoting.
+
+    Runs LAPACK ``dgeqp3`` on a copy of ``b`` and returns the first q
+    selected original column indices in selection order.  Each step picks
+    the trailing column of largest residual norm (ties break to the lowest
+    current position), swaps it into place and eliminates it with a
+    Householder reflector.  ``dgeqp3`` computes its norms with the scaled
+    ``dnrm2``, so the selection is the same for ``b`` and ``c * b`` at every
+    power of two ``c`` that keeps ``c * b`` finite and normal.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 2:
+        raise ValueError("partial_qrcp expects a 2-D array")
+    p, m = b.shape
+    if not (1 <= q <= min(p, m)):
+        raise ValueError(f"q={q} must lie in [1, {min(p, m)}] for a {p} x {m} sketch")
+    _, jpvt, _, _, info = dgeqp3(b)
+    if info != 0:
+        raise RuntimeError(f"dgeqp3 failed with info={info}")
+    return [int(j) - 1 for j in jpvt[:q]]
 
 
 class _Engine:
@@ -520,12 +542,9 @@ class _Engine:
         self.buf_W = Buffer(np.empty((n + _PAD, min(cfg.b + 1, n)), order="F"), "W")
         sketch = (self.buf_B,) if self.buf_B is not None else ()
         require_disjoint(self.buf_A, self.buf_L, self.buf_W, *sketch)
-        # Whether the last step's rook walk ran long: past _ROOK_HOPS columns,
-        # or deferred for want of a table; a step with no walk clears it.  A
-        # long walk ends its panel, so only a panel's first step sees it set.
-        self.last_walk_long = False
         # The off-diagonal table a run of long walks keeps (see _long_walk),
         # None between runs, and the columns to re-scan before a walk reads it.
+        # A long walk ends its panel, so only a panel's first step sees a table.
         self.table: OffDiagTable | None = None
         self.stale: list[int] = []
 
@@ -703,31 +722,28 @@ class _Engine:
 
     # -- pivot selection ---------------------------------------------------
 
-    def _long_walk(self) -> OffDiagTable | None:
-        """Off-diagonal table for a long rook walk, or None inside a panel.
+    def _long_walk(self) -> OffDiagTable:
+        """Off-diagonal table for a long rook walk at a panel's first step.
 
         With an empty panel the stored lower triangle of the active block is
-        the Schur complement itself, so the table is exact; inside a panel
-        it is not, and the step defers.  The first walk of a run of long
-        ones builds the whole table; each later one re-scans only the
-        columns that ``_carry_table`` marked stale, as ``_offdiag_table``
-        scans them.  Neither reads a column through ``_column``, so no
-        counter sees the difference.
+        the Schur complement itself, so the table is exact; ``_decide``
+        offers it only there.  The first walk of a run of long ones scans
+        every column of the active block; each later one re-scans only the
+        columns that ``_carry_table`` marked stale.  Each scan is
+        ``_scan_max_off`` of the column's magnitudes, read through ``_line``
+        and not ``_column``, so no counter sees it.  Entries before k are
+        not kept.
         """
-        if self.t:
-            return None
-        k = self.k
+        k, n = self.k, self.n
         if self.table is None:
-            absdiag, vmax, vidx = _offdiag_table(self.A[k:, k:])
-            self.table = ([0.0] * k + absdiag, [0.0] * k + vmax, [0] * k + [k + j for j in vidx])
-        else:
-            absdiag, vmax, vidx = self.table
-            for c in self.stale:
-                line = np.abs(self._line(c))
-                absdiag[c] = float(line[c - k])
-                line[c - k] = -np.inf
-                j = int(line.argmax())
-                vmax[c], vidx[c] = float(line[j]), k + j
+            self.table = ([0.0] * n, [0.0] * n, [0] * n)
+            self.stale = list(range(k, n))
+        absdiag, vmax, vidx = self.table
+        for c in self.stale:
+            line = np.abs(self._line(c))
+            absdiag[c] = float(line[c - k])
+            vmax[c], j = _scan_max_off(line, c - k)
+            vidx[c] = k + j
         self.stale = []
         return self.table
 
@@ -741,8 +757,8 @@ class _Engine:
         zeros in it, and its rows of L and of the pivot columns are zero, so
         the update subtracts exact zeros.  Its maximum can lie in X only if
         the column is zero off its diagonal, and then it lies at k.  Every
-        other column of the next active block is stale.  When more than
-        ``_REFRESH`` of them are, the table is dropped, to be built whole.
+        other column of the next active block is stale, to be re-scanned by
+        the next walk.
         """
         k, s, n = self.k, decision.s, self.n
         touched = {x for x in (k, k + s - 1, decision.r, decision.p) if x is not None}
@@ -753,8 +769,6 @@ class _Engine:
         if k in vidx[k + s :]:  # only a zero column records k; few have one
             stale.update(c for c in range(k + s, n) if vidx[c] == k)
         self.stale = [c for c in stale if c >= k + s]
-        if len(self.stale) > _REFRESH * (n - k - s):
-            self.table = None
 
     def _decide(self) -> PivotDecision:
         """Pivot decision at step k."""
@@ -788,10 +802,9 @@ class _Engine:
             n=n,
             alpha=self.alpha,
             counters=self.counters,
-            long_walk=self._long_walk,
-            hop_limit=0 if self.last_walk_long else _ROOK_HOPS,
+            long_walk=None if self.t else self._long_walk,
+            hop_limit=_ROOK_HOPS if self.table is None else 0,
         )
-        self.last_walk_long = decision.hops > _ROOK_HOPS or decision.kind is PivotKind.DEFER
         if self.table is not None:
             # A long walk read the table at t = 0 and ends its panel; any
             # other step widens the panel or eliminates without the table.
@@ -947,14 +960,7 @@ class _Engine:
             if j is None:
                 return False
             self._swap(k, j)
-        comps = self.counters.comps
         decision = self._decide()
-        if decision.kind is PivotKind.DEFER:
-            # The walk outgrew its hop limit inside the panel.  Its rerun at
-            # the next panel's start is charged the whole search; the panel
-            # corrections already formed stay charged.
-            self.counters.comps = comps
-            return False
         if decision.s == 2 and t > 0 and t + 2 > width:
             return False  # 2x2 would overflow the panel; restart fresh
         if decision.kind is PivotKind.ONE_BY_ONE_SWAP_R:
@@ -968,7 +974,8 @@ class _Engine:
         self.k += decision.s
         self.t += decision.s
         # While walks run long, each panel is this one step: the next walk
-        # then starts again from the exact Schur complement.
+        # then starts again from the exact Schur complement, where it may
+        # read the table.
         return decision.hops <= _ROOK_HOPS
 
 

@@ -61,14 +61,14 @@ class GrowthStats:
 
 
 def norm_1_inf(a: np.ndarray) -> float:
-    """Max-magnitude entry of ``a``."""
-    a = np.asarray(a, dtype=np.float64)
+    """Max-magnitude entry of ``a``; complex input raises ``ValueError``."""
+    a = require_real(a, "a")
     return float(np.abs(a).max()) if a.size else 0.0
 
 
 def norm_1_2(a: np.ndarray) -> float:
-    """Largest Euclidean column norm of ``a``."""
-    a = np.asarray(a, dtype=np.float64)
+    """Largest Euclidean column norm of ``a``; complex input raises ``ValueError``."""
+    a = require_real(a, "a")
     if a.ndim != 2 or a.size == 0:
         return 0.0
     return float(column_norms(a).max())

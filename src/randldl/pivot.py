@@ -20,15 +20,15 @@ table: every column's ``|a_jj|``, largest off-diagonal magnitude and its
 first index, as LAPACK ``dsytrf_rook`` and bounded Bunch-Kaufman (Ashcraft,
 Grimes & Lewis, 1998) make the search cheap.  The table is read by
 position: entry j describes the column at position j, and its index is a
-position.  ``_offdiag_table`` builds it over a block's lower triangle in one
-pass.  The engine builds it once for a run of long walks, and after each
-step re-scans only the columns the step can have changed, as bounded
-Bunch-Kaufman keeps its column maxima between steps.  Each later hop is a list lookup
-that gives bitwise what forming and scanning the column gives.  A hop limit
-of 0 reads the table from the walk's first hop; the engine passes it while
-walks keep running long.  A caller that cannot supply the table (inside a
-panel, where the stored block is not yet the Schur complement) gets a
-``DEFER`` decision and searches again later.
+position.  Each entry is ``_scan_max_off`` of the column's magnitudes, so
+each later hop is a list lookup that gives bitwise what forming and
+scanning the column gives.  The engine scans every column once for a run
+of long walks, and after each step re-scans only the columns the step can
+have changed, as bounded Bunch-Kaufman keeps its column maxima between
+steps.  A hop limit of 0 reads the table from the walk's first hop; the
+engine passes it while walks keep running long.  A caller without a table
+(inside a panel, where the stored block is not yet the Schur complement)
+passes none, and the walk forms every column it visits.
 
 The rules never modify the matrix; they only read it and increment the
 comparison counter by the length of each max scan.  A hop answered from the
@@ -66,7 +66,6 @@ class PivotKind(Enum):
     ONE_BY_ONE = "1x1"
     ONE_BY_ONE_SWAP_R = "1x1-swap"
     TWO_BY_TWO = "2x2"
-    DEFER = "defer"
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,9 @@ class PivotDecision:
     ``s`` is the block size (1 or 2); ``r`` the secondary index for swap and
     2x2 cases.  ``p`` is set only by the rook search when the 2x2 block pairs
     two rows that both differ from the leading position: the caller swaps
-    ``p`` to position k before swapping ``r`` to position k+1.  ``DEFER``
-    (``s`` = 0) means the rook walk outgrew its hop limit where no
-    off-diagonal table was available; nothing was chosen.  ``hops`` is the
-    number of columns the rook walk visited, formed or read from the table
-    (for ``DEFER``, those formed before it stopped); 0 when no walk ran.
+    ``p`` to position k before swapping ``r`` to position k+1.  ``hops`` is
+    the number of columns the rook walk visited, formed or read from the
+    table; 0 when no walk ran.
     """
 
     kind: PivotKind
@@ -93,12 +90,11 @@ class PivotDecision:
 # ``column_at(j)`` returns column j of the active Schur complement from row k
 # down; ``diag_at(j)`` returns its diagonal entry j.  ``long_walk()`` returns
 # the off-diagonal table of the active Schur complement, read by position
-# from k on, or None where the caller cannot supply it.  At k = 0 that is
-# ``_offdiag_table`` of the whole block.
+# from k on.
 ColumnProvider = Callable[[int], np.ndarray]
 DiagProvider = Callable[[int], float]
 OffDiagTable = tuple[list[float], list[float], list[int]]
-TableProvider = Callable[[], OffDiagTable | None]
+TableProvider = Callable[[], OffDiagTable]
 
 
 def _scan_max(values: np.ndarray, counters: OpCounters) -> tuple[float, int]:
@@ -108,56 +104,20 @@ def _scan_max(values: np.ndarray, counters: OpCounters) -> tuple[float, int]:
     return float(values[j]), j
 
 
-def _scan_max_off(values: np.ndarray, d: int, counters: OpCounters) -> tuple[float, int]:
+def _scan_max_off(values: np.ndarray, d: int) -> tuple[float, int]:
     """Like ``_scan_max`` over every entry but ``values[d]`` (needs size >= 2).
 
     ``values[d]`` is set to -inf for the scan and restored afterwards, which
     finds the same value and index as scanning a copy without it but builds
-    no mask; the count is still that of the shorter scan.
+    no mask.  It counts nothing: a search charges the ``size - 2``
+    comparisons itself, and the engine's upkeep of the off-diagonal table,
+    which runs this scan too, charges none.
     """
-    counters.comps += max(values.size - 2, 0)
     saved = values[d]
     values[d] = -np.inf
     j = int(values.argmax())
     values[d] = saved
     return float(values[j]), j
-
-
-# Block edge of ``_offdiag_table``'s row-segment copies; the diagonal blocks
-# take their strict lower triangle through the constant mask ``_STRICT_LOWER``.
-_TABLE_BLOCK = 128
-_STRICT_LOWER = np.tril(np.ones((_TABLE_BLOCK, _TABLE_BLOCK), dtype=bool), -1)
-
-
-def _offdiag_table(a: np.ndarray) -> OffDiagTable:
-    """``_scan_max_off`` of every column of the matrix whose lower triangle is ``a``.
-
-    The full build of the off-diagonal table, for a block whose first
-    position is 0: the engine calls it once for a run of long walks and then
-    re-scans single columns the same way (see ``factor._Engine._long_walk``).
-    Returns three lists: ``|a_jj|``, and the value and index that
-    ``_scan_max_off(np.abs(column j), j, ...)`` returns for every j (m >= 2).
-    Row j of one m x m work array, in C order, is made that scan's input:
-    the column segment ``|a[j+1:, j]|`` read through the transpose of ``a``
-    (contiguous when ``a`` is column-major, as the engine's block is), the
-    row segment ``|a[j, :j]|`` copied into the strict lower triangle block
-    by block, and -inf on the diagonal.  Its row maxima and first
-    argmaxes are then bitwise the column scans', ties and NaNs included.
-    The strict upper triangle of ``a`` is never used.
-    """
-    m = a.shape[0]
-    # Row j of a.T holds column j of the lower triangle from its diagonal on.
-    work = np.abs(a.T, order="C")
-    for c0 in range(0, m, _TABLE_BLOCK):
-        c1 = min(c0 + _TABLE_BLOCK, m)
-        np.abs(a[c1:, c0:c1], out=work[c1:, c0:c1])
-        square = slice(c0, c1)
-        lower = _STRICT_LOWER[: c1 - c0, : c1 - c0]
-        np.copyto(work[square, square], np.abs(a[square, square]), where=lower)
-    work.flat[:: m + 1] = -np.inf
-    imax = work.argmax(axis=1)
-    vmax = work[np.arange(m), imax]
-    return np.abs(a.diagonal()).tolist(), vmax.tolist(), imax.tolist()
 
 
 def _sbkp_from_data(
@@ -194,7 +154,8 @@ def _bkpp_from_data(
     if abs(a_kk) >= alpha * lam:
         return PivotDecision(PivotKind.ONE_BY_ONE, s=1)
     col_r = np.asarray(column_at(r), dtype=np.float64)
-    sigma, _ = _scan_max_off(np.abs(col_r), r - k, counters)
+    sigma, _ = _scan_max_off(np.abs(col_r), r - k)
+    counters.comps += col_r.size - 2
     a_rr = float(col_r[r - k])
     if abs(a_kk) * sigma >= alpha * lam * lam:
         return PivotDecision(PivotKind.ONE_BY_ONE, s=1)
@@ -227,12 +188,10 @@ def _bbk_from_data(
     p, i, colmax = 0, 1 + j, lam
     for hop in range(m):
         if hop == hop_limit and long_walk is not None:
-            table = long_walk()
-            if table is None:
-                return PivotDecision(PivotKind.DEFER, s=0, hops=hop)
-            return _table_walk(table, k, p, i, colmax, alpha, counters, hop)
+            return _table_walk(long_walk(), k, p, i, colmax, alpha, counters, hop)
         col = np.asarray(column_at(k + i), dtype=np.float64)
-        rowmax, local = _scan_max_off(np.abs(col), i, counters)
+        rowmax, local = _scan_max_off(np.abs(col), i)
+        counters.comps += m - 2
         if abs(col[i]) >= alpha * rowmax or local == p or rowmax <= colmax:
             return _rook_stop(k, p, i, abs(col[i]) >= alpha * rowmax, hop + 1)
         p, i, colmax = i, local, rowmax

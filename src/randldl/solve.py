@@ -47,8 +47,9 @@ def block_diag_solve(d: BlockDiag, z: np.ndarray) -> tuple[np.ndarray, bool]:
     by its cached 1x1 pivot (1 on the other rows); the rows of nonsingular
     2x2 blocks are then overwritten by the adjugate formulas, and the rows
     of singular blocks (exact zeros only) are zeroed instead of raising.
+    Complex ``z`` raises ``ValueError``.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = require_real(z, "z")
     if d.dim != z.shape[0]:
         raise ValueError(f"block diagonal covers {d.dim} rows, expected {z.shape[0]}")
     vector = z.ndim == 1

@@ -28,8 +28,8 @@ from randldl import (
 from randldl.core import Buffer, dgemm
 from randldl.factor import _block_multipliers, _Engine
 from randldl.metrics import growth_from_snapshots
-from randldl.pivot import PivotDecision, PivotKind, _offdiag_table
-from helpers import random_symmetric, recon_error
+from randldl.pivot import PivotDecision, PivotKind
+from helpers import _offdiag_table, random_symmetric, recon_error
 
 STRATEGIES = ["rcp", "bkpp", "bbk"]
 
@@ -387,7 +387,7 @@ def test_overflow_raises_numerical_error_without_warnings(strategy, e):
 
 class _PanelEngine(_CountingEngine):
     """Counts column formations, and records each panel's (start, steps) and
-    each long rook walk's (t, whether it got a table)."""
+    the (k, t) of each rook walk that reads the table."""
 
     def __init__(self, a, cfg):
         super().__init__(a, cfg)
@@ -399,9 +399,8 @@ class _PanelEngine(_CountingEngine):
         super()._apply_trailing()
 
     def _long_walk(self):
-        table = super()._long_walk()
-        self.walks.append((self.t, table is not None))
-        return table
+        self.walks.append((self.k, self.t))
+        return super()._long_walk()
 
 
 def _block_diagonal(*blocks):
@@ -431,8 +430,8 @@ def _compare_with_formed_columns(a, b, monkeypatch):
     g, w = got.stats.counters, want.stats.counters
     assert (g.comps, g.divs) == (w.comps, w.divs)
     assert g.mults < w.mults and g.adds < w.adds  # no panel corrections
-    # A table is built only where the stored block is the Schur complement.
-    assert all(t == 0 for t, built in table.walks if built)
+    # A table is read only where the stored block is the Schur complement.
+    assert all(t == 0 for _, t in table.walks)
     return table, columns
 
 
@@ -441,37 +440,43 @@ def test_long_walks_read_the_table_and_keep_the_pivots(monkeypatch):
     a = generate(MatrixSpec("type2", 256))
     table, columns = _compare_with_formed_columns(a, 64, monkeypatch)
     assert table.formed * 10 < columns.formed
-    # The first long walk ends its panel at once, so none ever defers, and
-    # every panel is one step wide but the last, over the few columns where
-    # no walk can run long.
-    assert table.walks and all(built for _, built in table.walks)
+    # The first long walk ends its panel at once, and every panel is one
+    # step wide but the last, over the few columns where no walk can run
+    # long.
+    assert table.walks[0] == (0, 0)
     widths = [t for _, t in table.panels]
     assert widths[:-1] == [1] * (len(widths) - 1)
 
 
-def test_long_walk_inside_a_panel_defers_and_short_walks_widen(monkeypatch):
+def test_long_walk_inside_a_panel_forms_its_columns_and_ends_the_panel(monkeypatch):
     # Dense Gaussian blocks around a type2 block.  The first long walk comes
-    # 8 steps into a panel: it defers, and its rerun is charged once.  Panels
-    # stay one step wide over type2 and go back to width b after it.
+    # 8 steps into a panel, at k = 40: it forms every column it visits, its
+    # pivot is eliminated in the panel, and the panel ends there.  The next
+    # walk, at the next panel's start, reads the table.  Panels stay one
+    # step wide over type2 and go back to width b after it.
     type2 = generate(MatrixSpec("type2", 64))
     a = _block_diagonal(random_symmetric(40, seed=1), type2, random_symmetric(100, seed=2))
     table, _ = _compare_with_formed_columns(a, 32, monkeypatch)
-    assert table.walks[0] == (8, False)
+    assert table.panels[:3] == [(0, 32), (32, 9), (41, 1)]
+    assert table.walks[0] == (41, 0)
     assert all(t == 1 for k0, t in table.panels if 40 <= k0 < 88)
     assert sum(t == 32 for k0, t in table.panels if k0 >= 88) >= 2
 
 
 def _walks_form_first(monkeypatch):
-    """Pin the engine's long-walk flag off: every walk then forms its first
-    ``_ROOK_HOPS`` columns before it reads the table, as it did before walks
-    in a run of long ones started from the table."""
-    flag = property(lambda self: False, lambda self, value: None)
-    monkeypatch.setattr(_Engine, "last_walk_long", flag, raising=False)
+    """Drop the table after every step instead of keeping it: every walk
+    then forms its first ``_ROOK_HOPS`` columns before it scans the table
+    whole and reads it."""
+    def drop(self, decision):
+        self.table = None
+
+    monkeypatch.setattr(_Engine, "_carry_table", drop)
 
 
 def _table_first_against_form_first(a, b, monkeypatch):
-    """Run bbk with table-first walks and with the flag pinned off; every
-    result and every panel must agree bitwise.  Returns both engines."""
+    """Run bbk with table-first walks and with the table dropped after
+    every step; every result and every panel must agree bitwise.  Returns
+    both engines."""
     first = _PanelEngine(a, FactorConfig(strategy="bbk", b=b))
     got = first.run()
     with monkeypatch.context() as patch:
@@ -494,12 +499,12 @@ def test_table_first_walks_keep_every_result(family, n, b, monkeypatch):
 def test_table_first_walks_form_about_two_columns_a_step(monkeypatch):
     # type2's walks visit every remaining column.  Formed first, each forms
     # 8 columns before it reads the table; read from the table, a step forms
-    # only its pivot columns.  At most one table is built for nothing.
+    # only its pivot columns.  At most one table is read for nothing.
     a = generate(MatrixSpec("type2", 256))
     first, formed = _table_first_against_form_first(a, 64, monkeypatch)
     steps = len(first.blocks)
     assert first.formed <= 2.2 * steps < formed.formed / 4
-    tables = [sum(built for _, built in e.walks) for e in (first, formed)]
+    tables = [len(e.walks) for e in (first, formed)]
     assert tables[1] <= tables[0] <= tables[1] + 1
 
 
@@ -510,7 +515,7 @@ def test_panels_regain_width_after_a_run_of_long_walks(monkeypatch):
     dominant = random_symmetric(96, seed=3) + 200.0 * np.eye(96)
     a = _block_diagonal(generate(MatrixSpec("type2", 64)), dominant)
     first, formed = _table_first_against_form_first(a, 32, monkeypatch)
-    tables = [sum(built for _, built in e.walks) for e in (first, formed)]
+    tables = [len(e.walks) for e in (first, formed)]
     assert tables[0] == tables[1] + 1
     widths = [t for _, t in first.panels]
     ones = widths.count(1)
@@ -530,21 +535,20 @@ class _TableCheckEngine(_PanelEngine):
         self.requests = self.builds = 0
 
     def _long_walk(self):
-        build = self.table is None and not self.t
+        build = self.table is None
         table = super()._long_walk()
-        if table is not None:
-            k = self.k
-            self.requests += 1
-            self.builds += build
-            absdiag, vmax, vidx = table
-            got = (absdiag[k:], vmax[k:], [j - k for j in vidx[k:]])
-            for g, w in zip(got, _offdiag_table(self.A[k:, k:]), strict=True):
-                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        k = self.k
+        self.requests += 1
+        self.builds += build
+        absdiag, vmax, vidx = table
+        got = (absdiag[k:], vmax[k:], [j - k for j in vidx[k:]])
+        for g, w in zip(got, _offdiag_table(self.A[k:, k:]), strict=True):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
         return table
 
 
 class _RebuildEngine(_PanelEngine):
-    """Builds the whole off-diagonal table at every request."""
+    """Scans every column into the off-diagonal table at every request."""
 
     def _long_walk(self):
         self.table = None
@@ -615,13 +619,13 @@ def test_kept_table_on_sparse_integer_matrices(a, b, hops):
 
 
 def test_type2_builds_few_tables():
-    # Each type2 step leaves 3 columns stale.  The table is built whole at
-    # the first long walk, and near the end, where 3 stale columns are more
-    # than a quarter of the next active block (4 builds for 248 walks).
+    # Each type2 step leaves 3 columns stale.  The first long walk scans
+    # every column into the table; every later one re-scans only the stale
+    # columns, down to the last walk.
     a = generate(MatrixSpec("type2", 256))
     kept = _TableCheckEngine(a, FactorConfig(strategy="bbk"))
     kept.run()
-    assert kept.requests >= 240 and kept.builds <= 5
+    assert kept.requests >= 240 and kept.builds == 1
 
 
 # -- q = b preselection ----------------------------------------------------

@@ -33,6 +33,13 @@ def test_norms_of_empty_inputs():
     assert norm_1_2(np.zeros((0, 0))) == 0.0
 
 
+@pytest.mark.parametrize("norm", [norm_1_inf, norm_1_2])
+def test_norms_reject_complex_input(norm):
+    # The float64 cast would drop the imaginary part: [[3j]] would read 0.0.
+    with pytest.raises(ValueError, match="a must be real, got complex input"):
+        norm(np.array([[3j]]))
+
+
 # -- growth --------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from randldl import FactorConfig, MatrixSpec, generate
+from randldl import FactorConfig
 from randldl.factor import _Engine
 from randldl.metrics import OpCounters
 from randldl.pivot import (
@@ -17,12 +17,11 @@ from randldl.pivot import (
     PivotKind,
     _bbk_from_data,
     _bkpp_from_data,
-    _offdiag_table,
     _sbkp_from_data,
     _scan_max,
     _scan_max_off,
 )
-from helpers import random_symmetric
+from helpers import _offdiag_table, random_symmetric
 
 ALPHAS = {_sbkp_from_data: SBKP_ALPHA, _bkpp_from_data: BK_ALPHA, _bbk_from_data: BK_ALPHA}
 
@@ -230,12 +229,10 @@ def test_off_diagonal_scan_matches_masked_scan(values, data):
     d = data.draw(st.integers(0, absc.size - 1), label="d")
     mask = np.ones(absc.size, dtype=bool)
     mask[d] = False
-    want_counters, got_counters = OpCounters(), OpCounters()
-    want_value, local = _scan_max(absc[mask], want_counters)
+    want_value, local = _scan_max(absc[mask], OpCounters())
     want_index = int(np.nonzero(mask)[0][local])
     before = absc.copy()
-    assert _scan_max_off(absc, d, got_counters) == (want_value, want_index)
-    assert got_counters == want_counters
+    assert _scan_max_off(absc, d) == (want_value, want_index)
     assert np.array_equal(absc, before)  # the excluded entry is restored
 
 
@@ -268,7 +265,7 @@ def test_offdiag_table_matches_column_scans(m, data):
     absdiag, vmax, imax = _offdiag_table(engine.A[k:, k:])
     for j in range(k, m):
         col = np.abs(engine._form_column(j))
-        value, index = _scan_max_off(col, j - k, OpCounters())
+        value, index = _scan_max_off(col, j - k)
         assert (vmax[j - k], imax[j - k]) == (value, index)
         assert math.copysign(1.0, vmax[j - k]) == 1.0
         assert absdiag[j - k] == col[j - k]
@@ -283,7 +280,7 @@ def test_offdiag_table_across_block_edges(m):
     absdiag, vmax, imax = _offdiag_table(a)
     for j in range(m):
         col = np.abs(np.concatenate((a[j, :j], a[j:, j])))
-        assert (vmax[j], imax[j]) == _scan_max_off(col, j, OpCounters())
+        assert (vmax[j], imax[j]) == _scan_max_off(col, j)
         assert absdiag[j] == col[j]
 
 
@@ -307,13 +304,15 @@ def test_offdiag_table_finds_nan_first():
     assert math.isnan(vmax[2]) and imax[2] == 1
 
 
+@pytest.mark.parametrize("table", [True, False], ids=["table", "long_walk=None"])
 @seed(2017)
 @settings(max_examples=100)
 @given(m=st.integers(2, 9), hop_limit=st.integers(0, 3), data=st.data())
-def test_rook_walk_from_table_matches_formed_columns(m, hop_limit, data):
+def test_rook_walk_from_table_matches_formed_columns(table, m, hop_limit, data):
     # Switching to the table after any number of hops changes neither the
     # decision, the number of columns the walk visits included, nor the
-    # comparisons charged.
+    # comparisons charged.  Without a table the walk forms every column it
+    # visits, whatever the hop limit.
     a = _sample_matrix(data, m)
     want_counters, got_counters = OpCounters(), OpCounters()
     want = decide(_bbk_from_data, a, counters=want_counters)
@@ -321,16 +320,8 @@ def test_rook_walk_from_table_matches_formed_columns(m, hop_limit, data):
         _bbk_from_data,
         a,
         counters=got_counters,
-        long_walk=lambda: _offdiag_table(a),
+        long_walk=(lambda: _offdiag_table(a)) if table else None,
         hop_limit=hop_limit,
     )
     assert got == want
     assert got_counters == want_counters
-
-
-def test_rook_walk_defers_without_a_table():
-    a = generate(MatrixSpec("type2", 32))
-    d = decide(_bbk_from_data, a, long_walk=lambda: None, hop_limit=2)
-    assert d == PivotDecision(PivotKind.DEFER, s=0, hops=2)
-    full = decide(_bbk_from_data, a, long_walk=lambda: None, hop_limit=a.shape[0])
-    assert full.kind is not PivotKind.DEFER

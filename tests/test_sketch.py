@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from randldl import PAT_PAIR_START, FactorConfig, factor
 from randldl.core import column_norms
-from randldl.factor import _Engine
+from randldl.factor import _Engine, partial_qrcp
 from randldl.gallery import MatrixSpec, generate
-from randldl.sketch import partial_qrcp
 from helpers import random_symmetric, reference_partial_qrcp
 
 

@@ -53,11 +53,39 @@ def test_block_diag_solve_dimension_check():
         block_diag_solve(d, np.zeros(3))
 
 
+def test_block_diag_solve_rejects_complex_right_hand_side():
+    # The float64 cast would drop the imaginary part with only a warning.
+    d = BlockDiag([np.array([[2.0]])])
+    with pytest.raises(ValueError, match="z must be real, got complex input"):
+        block_diag_solve(d, np.array([2.0 + 5j]))
+
+
 def test_block_diag_rejects_malformed_blocks():
     with pytest.raises(ValueError, match="1x1 or 2x2"):
         BlockDiag([np.eye(3)])
     with pytest.raises(ValueError, match="symmetric"):
         BlockDiag([np.array([[1.0, 2.0], [3.0, 1.0]])])
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[[2 + 5j]]],
+        [[[1.0]], [[0.0, 2j], [2j, 1.0]]],
+        [[[1]], np.array([[3.0]], dtype=np.complex64)],
+    ],
+    ids=["1x1", "2x2-after-real", "complex64-after-int"],
+)
+def test_block_diag_rejects_complex_blocks(blocks):
+    # One complex block makes the whole concatenated buffer complex.
+    with pytest.raises(ValueError, match="D must be real, got complex input"):
+        BlockDiag([np.asarray(b) for b in blocks])
+
+
+def test_block_diag_casts_real_blocks_to_float64():
+    d = BlockDiag([np.array([[2]]), np.array([[0, 1], [1, 0]], dtype=np.float32)])
+    assert [b.dtype for b in d.blocks] == [np.float64, np.float64]
+    assert np.array_equal(d.to_dense(), [[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 
 @pytest.mark.parametrize(
@@ -349,6 +377,28 @@ def test_factorization_rejects_pattern_disagreeing_with_D(blocks, pattern):
             L=np.eye(n),
             D=BlockDiag(blocks),
             pattern=np.array(pattern, dtype=np.int8),
+            stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
+        )
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        np.array([7, 9], dtype=np.int8),
+        np.array([0, -1], dtype=np.int64),
+        np.zeros(2),
+        np.zeros(2, dtype=bool),
+    ],
+    ids=["labels-7-9", "label-minus-1", "float", "bool"],
+)
+def test_factorization_rejects_pattern_without_integer_labels(pattern):
+    # Two 1x1 blocks: no label is a pair's, so only the labels can be wrong.
+    with pytest.raises(ValueError, match="pattern must hold 2 integer labels PAT_"):
+        Factorization(
+            perm=np.arange(2),
+            L=np.eye(2),
+            D=BlockDiag([np.eye(1)] * 2),
+            pattern=pattern,
             stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
         )
 

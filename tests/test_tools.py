@@ -18,8 +18,8 @@ def test_pivot_digest_quick_grid():
     )
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
-    # 5 families x 2 sizes x 3 seeds x 9 configurations, each printed once.
-    assert len(rows) == 270
+    # 6 families x 2 sizes x 3 seeds x 9 configurations, each printed once.
+    assert len(rows) == 324
     keys = {(r["family"], r["n"], r["seed"], r["config"]) for r in rows}
     assert len(keys) == len(rows)
     # A change to the guard shows up in the same diff as a change of pivots.

@@ -19,12 +19,15 @@ and ``deficient_from``, digests of ``solve(f, b).x`` and of a 3-column
 the ``audit`` configuration does).  The right-hand sides are drawn from
 Philox(seed) with a first row of -0.0, which a digest tells from 0.0.
 ``max |L|`` does not see the order of L's rows; the ``L`` digest and the
-residual do.  The grid is type2, type6, type10 and two exactly singular
-families, type6 of order n - z bordered by z zero rows and columns:
-``type6-padded`` (z = 3) and ``type6-half`` (z = n // 2, wide enough for
-the guard to stop both at a step and at the start of a q = b panel).  It
-runs them at n in {64, 300, 1024}, seeds 0-2, under the configurations
-named in ``CONFIGS``; ``--quick`` keeps n <= 300.
+residual do.  The grid is type2, type6, type10 and three block-diagonal
+families, each block a gallery matrix or zero (see ``BLOCKS``).  Two are
+exactly singular, type6 of order n - z bordered by z zero rows and
+columns: ``type6-padded`` (z = 3) and ``type6-half`` (z = n // 2, wide
+enough for the guard to stop both at a step and at the start of a q = b
+panel).  ``type6-type2-mix`` is type6 of order n // 4 + 3, type2 of order
+n // 2, then type6: its first long rook walk comes inside a bbk panel of
+width 7 or 64.  It runs them at n in {64, 300, 1024}, seeds 0-2, under
+the configurations named in ``CONFIGS``; ``--quick`` keeps n <= 300.
 ``randldl`` is imported from ``--src`` (default: ``src/`` beside this
 directory).  Pin the BLAS thread count (``OPENBLAS_NUM_THREADS=1``) on both
 sides: a threaded GEMM may round differently.
@@ -39,9 +42,16 @@ import json
 import sys
 from pathlib import Path
 
-# The zero-bordered families: the number of zero rows at order n.
-ZERO_ROWS = {"type6-padded": lambda n: 3, "type6-half": lambda n: n // 2}
-FAMILIES = ("type2", "type6", "type10", *ZERO_ROWS)
+# The block-diagonal families: their (gallery family, order) blocks at
+# order n, in order down the diagonal; a block of family None is zero.
+BLOCKS = {
+    "type6-padded": lambda n: [("type6", n - 3), (None, 3)],
+    "type6-half": lambda n: [("type6", n - n // 2), (None, n // 2)],
+    "type6-type2-mix": lambda n: [
+        ("type6", n // 4 + 3), ("type2", n // 2), ("type6", n - n // 4 - 3 - n // 2)
+    ],
+}
+FAMILIES = ("type2", "type6", "type10", *BLOCKS)
 SIZES = (64, 300, 1024)
 SEEDS = (0, 1, 2)
 CONFIGS = {
@@ -75,10 +85,12 @@ def main(argv: list[str] | None = None) -> int:
     for family in FAMILIES:
         for n in sizes:
             for seed in SEEDS:
-                if family in ZERO_ROWS:
-                    a = np.zeros((n, n))
-                    m = n - ZERO_ROWS[family](n)
-                    a[:m, :m] = generate(MatrixSpec(family="type6", n=m, seed=seed))
+                if family in BLOCKS:
+                    a, i = np.zeros((n, n)), 0
+                    for part, m in BLOCKS[family](n):
+                        if part is not None:
+                            a[i : i + m, i : i + m] = generate(MatrixSpec(part, m, seed))
+                        i += m
                 else:
                     a = generate(MatrixSpec(family=family, n=n, seed=seed))
                 rhs = np.random.Generator(np.random.Philox(seed)).standard_normal((n, 4))
