@@ -183,7 +183,7 @@ def column_norms(m: np.ndarray) -> np.ndarray:
     are ``2**e`` times those of ``m``, up to squares lost to underflow far
     below the largest, and the largest column is the same one.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = require_real(m, "m")
     if m.ndim != 2:
         raise ValueError("column_norms expects a 2-D array")
     if m.size == 0:

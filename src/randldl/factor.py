@@ -107,7 +107,7 @@ instruction; see :class:`randldl.metrics.OpCounters`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -190,7 +190,6 @@ PAT_SINGLE = 0
 PAT_PAIR_START = 1
 PAT_PAIR_END = 2
 PAT_DEFICIENT = 3
-_PAT_LABELS = (PAT_SINGLE, PAT_PAIR_START, PAT_PAIR_END, PAT_DEFICIENT)
 
 
 class NumericalError(RuntimeError):
@@ -332,19 +331,22 @@ class BlockDiag:
 class Factorization:
     """Result of :func:`factor`: ``A[perm][:, perm] == L @ D @ L.T``.
 
-    ``pattern[i]`` labels index i as a single pivot, the start or end of a
-    2x2 pivot pair, or part of the numerically zero tail of a rank-deficient
-    input: an integer ``PAT_*`` label.  ``L``, ``perm``, ``D``'s size and
-    ``pattern``'s labels and pairs are checked once, here, and then ``L``,
-    ``perm`` and ``pattern`` are made read-only, so a solve need not check
-    them again.
+    ``deficient_from`` is the first index of the numerically zero tail of a
+    rank-deficient input, or None.  ``pattern`` is derived from ``D`` and
+    ``deficient_from``: ``pattern[i]``, an int8 ``PAT_*`` label, marks index
+    i as a single pivot, the start or end of a 2x2 pivot pair, or part of
+    the deficient tail.  ``L``, ``perm``, ``D``'s size and ``deficient_from``
+    (every row from it on must be a zero 1x1 block of ``D``) are checked
+    once, here, and then ``L``, ``perm`` and ``pattern`` are read-only, so a
+    solve need not check them again.
     """
 
     perm: np.ndarray
     L: np.ndarray
     D: BlockDiag
-    pattern: np.ndarray
     stats: GrowthStats
+    deficient_from: int | None = None
+    pattern: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.L.ndim != 2 or self.L.shape[0] != self.L.shape[1]:
@@ -365,30 +367,27 @@ class Factorization:
             raise ValueError(f"perm is not a permutation of 0..{n - 1}")
         if self.D.dim != n:
             raise ValueError(f"D covers {self.D.dim} rows, expected {n}")
-        pattern, starts2 = self.pattern, self.D.starts2
-        if (
-            pattern.shape != (n,)
-            or pattern.dtype.kind not in "iu"
-            or not np.isin(pattern, _PAT_LABELS).all()
-        ):
-            raise ValueError(f"pattern must hold {n} integer labels PAT_*, got {pattern!r}")
-        if (
-            not np.array_equal(np.flatnonzero(pattern == PAT_PAIR_START), starts2)
-            or not np.array_equal(np.flatnonzero(pattern == PAT_PAIR_END), starts2 + 1)
-        ):
-            raise ValueError("pattern's 2x2 pairs do not match D's 2x2 blocks")
-        for a in (self.L, perm, self.pattern):
+        starts2 = self.D.starts2
+        pattern = np.full(n, PAT_SINGLE, dtype=np.int8)
+        pattern[starts2] = PAT_PAIR_START
+        pattern[starts2 + 1] = PAT_PAIR_END
+        d = self.deficient_from
+        if d is not None:
+            d = require_int(d, "deficient_from")
+            # zero_rows lists each row once: n - d of them lie from d on
+            # exactly when every such row is in a singular block.
+            zero_tail = (starts2 < d - 1).all() and (self.D.zero_rows >= d).sum() == n - d
+            if not (0 <= d < n and zero_tail):
+                raise ValueError(f"deficient_from={d} must lie in [0, {n}) over zero 1x1 blocks only")
+            object.__setattr__(self, "deficient_from", d)
+            pattern[d:] = PAT_DEFICIENT
+        object.__setattr__(self, "pattern", pattern)
+        for a in (self.L, perm, pattern):
             a.flags.writeable = False
 
     @property
     def n(self) -> int:
         return self.perm.size
-
-    @property
-    def deficient_from(self) -> int | None:
-        """First index of the numerically zero tail, or None if full rank."""
-        hits = np.nonzero(self.pattern == PAT_DEFICIENT)[0]
-        return int(hits[0]) if hits.size else None
 
 
 def _block_multipliers(
@@ -455,7 +454,7 @@ def partial_qrcp(b: np.ndarray, q: int) -> list[int]:
     ``dnrm2``, so the selection is the same for ``b`` and ``c * b`` at every
     power of two ``c`` that keeps ``c * b`` finite and normal.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = require_real(b, "b")
     if b.ndim != 2:
         raise ValueError("partial_qrcp expects a 2-D array")
     p, m = b.shape
@@ -492,7 +491,6 @@ class _Engine:
         self.closed: list[tuple[int, int, np.ndarray]] = []
         # Columns formed in this step, keyed by label.
         self.cols: dict[int, np.ndarray] = {}
-        self.pattern = np.zeros(n, dtype=np.int8)
         self.blocks: list[np.ndarray] = []
         # Largest |multiplier| so far: every strictly lower entry of L is
         # written once by _eliminate, and swaps only move entries between rows.
@@ -510,6 +508,7 @@ class _Engine:
         self.omega: np.ndarray | None = None
         self.p = cfg.p
         self.recompute_count = 0
+        self.deficient_from: int | None = None
         if self.strategy is Strategy.RCP:
             self.rng = np.random.Generator(np.random.Philox(cfg.seed))
             self.omega = self.rng.standard_normal((cfg.p, n))
@@ -665,9 +664,8 @@ class _Engine:
 
     def _terminate_deficient(self) -> None:
         """Declare the tail from k numerically zero; moving k to n ends the run."""
-        for j in range(self.k, self.n):
-            self.blocks.append(np.zeros((1, 1)))
-            self.pattern[j] = PAT_DEFICIENT
+        self.deficient_from = self.k
+        self.blocks.extend(np.zeros((1, 1)) for _ in range(self.k, self.n))
         self.k = self.n
 
     # -- sketch projection and guarded mode ------------------------------
@@ -830,11 +828,6 @@ class _Engine:
         if s == 2:
             self.W[w_rows, self.t + 1] = c1
         self.blocks.append(dblock)
-        if s == 1:
-            self.pattern[k] = PAT_SINGLE
-        else:
-            self.pattern[k] = PAT_PAIR_START
-            self.pattern[k + 1] = PAT_PAIR_END
         w = n - k - s
         if decision.kind is not PivotKind.SKIP:
             if s == 1:
@@ -896,8 +889,8 @@ class _Engine:
             perm=self.perm,
             L=self.L,
             D=d,
-            pattern=self.pattern,
             stats=stats,
+            deficient_from=self.deficient_from,
         )
 
     def _run_panel(self) -> None:
@@ -989,6 +982,8 @@ def factor(a: np.ndarray, cfg: FactorConfig | None = None, **overrides) -> Facto
         raise ValueError("pass either cfg or keyword overrides, not both")
     if cfg is None:
         cfg = FactorConfig(**overrides)
+    elif not isinstance(cfg, FactorConfig):
+        raise TypeError(f"cfg must be a FactorConfig, got {type(cfg).__name__}")
     return _Engine(a, cfg).run()
 
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
+import ctypes
+from pathlib import Path
 
-from randldl import Factorization, reconstruct
+import numpy as np
+import pytest
+import scipy
+
+from randldl import PAT_PAIR_END, PAT_PAIR_START, Factorization, reconstruct
 from randldl.core import column_norms
 from randldl.pivot import OffDiagTable
 
@@ -91,3 +96,57 @@ def _offdiag_table(a: np.ndarray) -> OffDiagTable:
     imax = work.argmax(axis=1)
     vmax = work[np.arange(m), imax]
     return np.abs(a.diagonal()).tolist(), vmax.tolist(), imax.tolist()
+
+
+def lapack_rook(a: np.ndarray, blocked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``perm`` and ``pattern`` of LAPACK's rook-pivoted ``uplo = 'L'`` LDL^T.
+
+    ``dsytrf_rook`` (blocked, after a workspace query) or ``dsytf2_rook``,
+    reached through ``ctypes`` in the OpenBLAS that SciPy's wheels ship
+    beside the package as ``scipy.libs/libscipy_openblas*.so``, whose
+    symbols carry a ``scipy_`` prefix.  Skips the calling test when that
+    library or a symbol is missing, as in a conda or distro SciPy.  ``ipiv``
+    is read as LAPACK documents it: ``ipiv[k] > 0`` is a 1x1 block after
+    interchanging k and ``ipiv[k]``; a negative pair is a 2x2 block after
+    interchanging k and ``-ipiv[k]``, then k + 1 and ``-ipiv[k + 1]``
+    (all 1-based).
+    """
+    name = "scipy_dsytrf_rook_" if blocked else "scipy_dsytf2_rook_"
+    libs = sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*.so"))
+    if not libs:
+        pytest.skip("no libscipy_openblas beside the loaded SciPy")
+    try:
+        routine = getattr(ctypes.CDLL(str(libs[0])), name)
+    except AttributeError:
+        pytest.skip(f"{libs[0].name} exports no {name}")
+    ptr, int_p = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int)
+    # uplo, n, a, lda, ipiv, [work, lwork,] info, then uplo's length.
+    work_args = [ptr, int_p] if blocked else []
+    routine.argtypes = [ctypes.c_char_p, int_p, ptr, int_p, ptr, *work_args, int_p, ctypes.c_size_t]
+    routine.restype = None
+    n = a.shape[0]
+    work_a = np.array(a, dtype=np.float64, order="F")
+    ipiv = np.zeros(n, dtype=np.intc)
+    c_n, info = ctypes.c_int(n), ctypes.c_int(0)
+    head = (b"L", c_n, work_a.ctypes.data, c_n, ipiv.ctypes.data)
+    if blocked:
+        query = np.zeros(1)
+        routine(*head, query.ctypes.data, ctypes.c_int(-1), info, 1)
+        assert info.value == 0, info.value
+        work = np.zeros(max(1, int(query[0])))
+        routine(*head, work.ctypes.data, ctypes.c_int(work.size), info, 1)
+    else:
+        routine(*head, info, 1)
+    assert info.value >= 0, info.value
+    perm = np.arange(n)
+    pattern = np.zeros(n, dtype=np.int8)
+    k = 0
+    while k < n:
+        s = 1 if ipiv[k] > 0 else 2
+        for i in range(k, k + s):
+            j = abs(int(ipiv[i])) - 1
+            perm[[i, j]] = perm[[j, i]]
+        if s == 2:
+            pattern[k], pattern[k + 1] = PAT_PAIR_START, PAT_PAIR_END
+        k += s
+    return perm, pattern

@@ -214,6 +214,9 @@ def test_column_norms_same_bits_in_any_layout(k):
 def test_column_norms_validation():
     with pytest.raises(ValueError, match="2-D"):
         column_norms(np.zeros(3))
+    # The cast would drop the imaginary parts, leaving norms [0, 1].
+    with pytest.raises(ValueError, match="m must be real, got complex input"):
+        column_norms([[3j, 1]])
 
 
 @settings(max_examples=30)

@@ -29,7 +29,7 @@ from randldl.core import Buffer, dgemm
 from randldl.factor import _block_multipliers, _Engine
 from randldl.metrics import growth_from_snapshots
 from randldl.pivot import PivotDecision, PivotKind
-from helpers import _offdiag_table, random_symmetric, recon_error
+from helpers import _offdiag_table, lapack_rook, random_symmetric, recon_error
 
 STRATEGIES = ["rcp", "bkpp", "bbk"]
 
@@ -380,6 +380,25 @@ def test_overflow_raises_numerical_error_without_warnings(strategy, e):
     a = generate(MatrixSpec("type6", 200, seed=0))
     with pytest.raises(NumericalError, match="non-finite"):
         factor(2.0**e * a, strategy=strategy)
+
+
+# -- LAPACK rook oracle ----------------------------------------------------
+
+
+@pytest.mark.parametrize("b, blocked", [(1, False), (64, True)], ids=["dsytf2_rook", "dsytrf_rook"])
+@pytest.mark.parametrize("n", [64, 300])
+@pytest.mark.parametrize("family", [f"type{i}" for i in range(1, 9)])
+def test_bbk_matches_lapack_rook(family, n, b, blocked):
+    # bbk at b = 1 against the unblocked routine, at b = 64 against the
+    # blocked one: the same interchanges and the same block sizes.  type10 is
+    # left out: its tail is pivoted among values at rounding level, where
+    # the two differ in every case.
+    for seed in range(3):
+        a = generate(MatrixSpec(family, n, seed))
+        f = factor(a, strategy="bbk", b=b)
+        perm, pattern = lapack_rook(a, blocked)
+        assert np.array_equal(f.perm, perm), seed
+        assert np.array_equal(f.pattern, pattern), seed
 
 
 # -- long rook walks -------------------------------------------------------
@@ -1025,6 +1044,12 @@ def test_config_accepts_enum_and_string_strategies():
 def test_config_rejects_cfg_plus_overrides():
     with pytest.raises(ValueError, match="not both"):
         factor(np.eye(3), cfg=FactorConfig(), b=1)
+
+
+def test_factor_rejects_cfg_that_is_not_a_factor_config():
+    # A dict would otherwise fail inside the engine, on its first attribute.
+    with pytest.raises(TypeError, match="cfg must be a FactorConfig, got dict"):
+        factor(np.eye(3), {"p": 3})
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,9 @@ def test_partial_qrcp_validation():
         partial_qrcp(np.zeros((2, 3)), 3)
     with pytest.raises(ValueError, match="q="):
         partial_qrcp(np.zeros((2, 3)), 0)
+    # The cast would drop the imaginary part and select column 1.
+    with pytest.raises(ValueError, match="b must be real, got complex input"):
+        partial_qrcp([[1 + 2j, 3], [0, 1]], 1)
 
 
 def _gaussian_sketch(draw_seed: int, p: int, m: int) -> np.ndarray:

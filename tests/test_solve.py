@@ -304,7 +304,6 @@ def test_factorization_rejects_non_finite_L(bad):
             perm=np.arange(3),
             L=L,
             D=BlockDiag([np.eye(1)] * 3),
-            pattern=np.zeros(3, dtype=np.int8),
             stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
         )
 
@@ -328,7 +327,6 @@ def test_factorization_rejects_non_permutation(perm):
             perm=np.array(perm),
             L=np.eye(3),
             D=BlockDiag([np.eye(1)] * 3),
-            pattern=np.zeros(3, dtype=np.int8),
             stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
         )
 
@@ -342,7 +340,6 @@ def test_factorization_rejects_non_square_L(shape):
             perm=np.arange(n),
             L=np.ones(shape),
             D=BlockDiag([np.eye(1)] * n),
-            pattern=np.zeros(n, dtype=np.int8),
             stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
         )
 
@@ -354,53 +351,66 @@ def test_factorization_rejects_D_of_wrong_size():
             perm=np.arange(3),
             L=np.eye(3),
             D=BlockDiag([np.eye(1)] * 2),
-            pattern=np.zeros(3, dtype=np.int8),
             stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
         )
 
 
+_ZERO = np.zeros((1, 1))
+_SINGULAR_PAIR = np.ones((2, 2))
+
+
 @pytest.mark.parametrize(
-    "blocks, pattern",
+    "blocks, deficient_from",
     [
-        ([np.eye(1)] * 2, [1, 2]),
-        ([np.eye(2)], [0, 0]),
-        ([np.eye(1), np.eye(2)], [1, 2, 0]),
-        ([np.eye(1)] * 2, [0, 0, 0]),
+        ([2 * np.eye(1)] * 3, 0),
+        ([_ZERO, 2 * np.eye(1), _ZERO], 0),
+        ([_ZERO, np.eye(2)], 1),
+        ([_ZERO, np.eye(2)], 2),
+        ([_ZERO, _SINGULAR_PAIR], 1),
+        ([_ZERO] * 3, 3),
+        ([_ZERO] * 3, -1),
+        ([_ZERO] * 3, True),
+        ([_ZERO] * 3, 1.5),
     ],
-    ids=["pair-over-1x1s", "1x1s-over-pair", "pair-shifted", "long"],
+    ids=[
+        "nonzero-1x1s", "nonzero-1x1-inside", "over-pair", "inside-pair",
+        "over-singular-pair", "equal-to-n", "negative", "bool", "float",
+    ],
 )
-def test_factorization_rejects_pattern_disagreeing_with_D(blocks, pattern):
-    n = sum(b.shape[0] for b in blocks)
-    with pytest.raises(ValueError, match="pattern"):
+def test_factorization_rejects_bad_deficient_from(blocks, deficient_from):
+    # Every row from deficient_from on must be a zero 1x1 block; the first
+    # case used to build, with its pattern saying the tail starts at 0.
+    with pytest.raises(ValueError, match="deficient_from"):
         Factorization(
-            perm=np.arange(n),
-            L=np.eye(n),
+            perm=np.arange(3),
+            L=np.eye(3),
             D=BlockDiag(blocks),
-            pattern=np.array(pattern, dtype=np.int8),
             stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
+            deficient_from=deficient_from,
         )
 
 
 @pytest.mark.parametrize(
-    "pattern",
+    "blocks, deficient_from, pattern",
     [
-        np.array([7, 9], dtype=np.int8),
-        np.array([0, -1], dtype=np.int64),
-        np.zeros(2),
-        np.zeros(2, dtype=bool),
+        ([np.eye(1), np.eye(2)], None, [0, 1, 2]),
+        ([np.eye(2), _ZERO], np.int64(2), [1, 2, 3]),
+        ([_ZERO] * 3, 0, [3, 3, 3]),
     ],
-    ids=["labels-7-9", "label-minus-1", "float", "bool"],
+    ids=["pair", "numpy-int-cut", "all-deficient"],
 )
-def test_factorization_rejects_pattern_without_integer_labels(pattern):
-    # Two 1x1 blocks: no label is a pair's, so only the labels can be wrong.
-    with pytest.raises(ValueError, match="pattern must hold 2 integer labels PAT_"):
-        Factorization(
-            perm=np.arange(2),
-            L=np.eye(2),
-            D=BlockDiag([np.eye(1)] * 2),
-            pattern=pattern,
-            stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
-        )
+def test_factorization_derives_pattern(blocks, deficient_from, pattern):
+    f = Factorization(
+        perm=np.arange(3),
+        L=np.eye(3),
+        D=BlockDiag(blocks),
+        stats=GrowthStats(rho_cheap=1.0, max_multiplier=0.0),
+        deficient_from=deficient_from,
+    )
+    assert f.pattern.dtype == np.int8 and not f.pattern.flags.writeable
+    assert np.array_equal(f.pattern, pattern)
+    assert f.deficient_from == deficient_from
+    assert deficient_from is None or type(f.deficient_from) is int
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

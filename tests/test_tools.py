@@ -38,6 +38,19 @@ def test_pivot_digest_quick_grid():
     # Only the audited runs digest their sketch drift; bkpp and bbk keep no
     # sketch.  The audit changes nothing else.
     assert all((r["drift"] is None) is (r["config"] != "audit") for r in rows)
+    # The guard's cut: q = 1 rcp stops where the zero border starts; q = b
+    # reads the sketch only at a panel's start, so it stops there or later;
+    # bkpp and bbk keep no guard, and the other families are of full rank.
+    zeros = {"type6-padded": lambda n: 3, "type6-half": lambda n: n // 2}
+    for r in rows:
+        cut = r["deficient_from"]
+        if r["family"] not in zeros or r["config"].startswith(("bkpp", "bbk")):
+            assert cut is None, r
+        elif r["config"] == "p=b=q=64":
+            assert cut is None or cut >= r["n"] - zeros[r["family"]](r["n"]), r
+        else:
+            assert r["config"] in ("rcp", "b=1", "b=7", "audit"), r
+            assert cut == r["n"] - zeros[r["family"]](r["n"]), r
     by_case = defaultdict(dict)
     for r in rows:
         by_case[r["family"], r["n"], r["seed"]][r["config"]] = r
