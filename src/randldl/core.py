@@ -8,12 +8,14 @@ Conventions used throughout the package:
   eliminating, as LAPACK ``dsytrf`` does: kernels that work on that block
   read and write its lower triangle and leave the strict upper one alone.
   ``mirror_lower`` rebuilds the full matrix where one is needed.
-* The factorization's working arrays (the matrix, ``L`` and the panel
-  buffer) are column-major, as in LAPACK, so a column is contiguous and a
-  row is strided.  Kernels take any layout; ``sym_swap`` reads one row
-  segment, the rest are columns.  The rows of finished columns of ``L``
-  are not swapped step by step: each closed block of them is permuted by
-  one gather after the last step.
+* The factorization's working arrays (the matrix and the panel buffer)
+  are column-major, as in LAPACK, so a column is contiguous and a row is
+  strided.  ``L`` is written over the matrix's eliminated columns, as in
+  ``dsytrf``, so one n x n buffer holds both.  Kernels take any layout;
+  ``sym_swap`` reads one row segment, the rest are columns.  The rows of
+  finished columns of ``L`` are not swapped step by step: each closed
+  block of them is permuted by one gather after the last step, as it is
+  moved to the front of the buffer.
 * A permutation is a 1-D integer ndarray ``perm`` of length n containing
   each index exactly once.  Applied symmetrically it relabels the matrix as
   ``A[perm][:, perm]``.

@@ -46,12 +46,17 @@ nor underflow and a power-of-two scaling of the sketch leaves the choice as
 is (see :func:`partial_qrcp`).
 
 Only the lower triangle of the active block ``A[k:, k:]`` is kept, as in
-LAPACK ``dsytrf``/``dlasyf``, and ``A``, ``L`` and the panel's ``W`` are
-stored column-major as there, so the columns the engine forms, writes and
-multiplies are contiguous; ``A``'s and ``W``'s columns are padded, so that
-at n = 1024 or 2048 their rows do not stride by a multiple of 4 KiB.  ``W``
-is one buffer for the whole run, which each panel views without clearing:
-a panel reads only what its own steps wrote there.  A column is read as
+LAPACK ``dsytrf``/``dlasyf``, and as there ``L`` is written over the
+eliminated columns of ``A``: once a pivot block's columns are formed, and
+kept for the panel in ``W``, ``A[k+s:, k:k+s]`` takes its multipliers and
+a 2x2 block's d21, kept in ``D``, gives way to 0.  So one n x n buffer
+serves the run: at n = 2048 ``factor``'s tracemalloc peak is 37.9 MiB,
+against 69.9 MiB with ``L`` in a second one.  ``A`` and ``W`` are
+column-major, as there, so the columns the engine forms, writes and
+multiplies are contiguous; their columns are padded, so that at n = 1024
+or 2048 their rows do not stride by a multiple of 4 KiB.  ``W`` is one
+buffer for the whole run, which each panel views without clearing: a
+panel reads only what its own steps wrote there.  A column is read as
 the row segment left of the diagonal plus the column segment from the
 diagonal down; swaps touch the active block's lower triangle only, as
 ``dsyswapr`` does; and each strip of the trailing update covers its columns
@@ -59,7 +64,7 @@ from the diagonal down, so a panel of t columns costs about ``t m^2 / 2``
 multiplies on an m x m block rather than ``t m^2``.  Each strip is one
 BLAS ``dgemm`` (alpha = -1, beta = 1) that writes its columns of ``A`` in
 place through the padded leading dimension, as ``dlasyf`` updates its
-trailing block.  ``A``, ``L``, ``W`` and the sketch are bound once, when
+trailing block.  ``A``, ``W`` and the sketch are bound once, when
 they are allocated, and read back from their ``core.Buffer``; each call
 hands ``core.dgemm`` blocks of them by offset, so a one-step panel pays no
 per-call view checks.  The sketch is row-major p x n, bound as its
@@ -75,11 +80,14 @@ the input and the finished factors.
 
 A swap exchanges the rows of ``L`` only over the open block: the columns
 from the first one not yet closed up to k, the current panel among them.
-The open block closes at a panel end once it is at least ``max(b, 64)``
-columns wide, recording ``perm`` there, and the rows of each closed block
-are permuted once, after the last step, by every interchange made after it
-closed: one gather per block, as LAPACK applies ``dlaswp`` after
-``dlasyf``, rather than two strided row swaps per step over all of ``L``.
+One ``sym_swap`` from the open block's corner swaps them with the active
+block's, its first segment being the whole row left of the diagonal, as
+in ``dsytf2``.  The open block closes at a panel end once it is at least
+``max(b, 64)`` columns wide, recording ``perm`` there.  After the last
+step each closed block, then the open one, moves in order to the front of
+``A``'s buffer, its rows gathered by every interchange made after it
+closed, as LAPACK applies ``dlaswp`` after ``dlasyf``, so ``L`` comes out
+a contiguous column-major n x n array that the solve reads without a copy.
 
 The columns a step forms are kept, keyed by label, until it ends: a swap
 exchanges their two entries, and the elimination takes its pivot columns
@@ -327,7 +335,7 @@ class BlockDiag:
         return float(np.abs(self._flat).max(initial=0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factorization:
     """Result of :func:`factor`: ``A[perm][:, perm] == L @ D @ L.T``.
 
@@ -338,7 +346,8 @@ class Factorization:
     the deficient tail.  ``L``, ``perm``, ``D``'s size and ``deficient_from``
     (every row from it on must be a zero 1x1 block of ``D``) are checked
     once, here, and then ``L``, ``perm`` and ``pattern`` are read-only, so a
-    solve need not check them again.
+    solve need not check them again.  Factorizations compare and hash by
+    identity, as arrays cannot be compared as a tuple.
     """
 
     perm: np.ndarray
@@ -480,20 +489,20 @@ class _Engine:
         padded = np.empty((n, n + _PAD))
         padded[:, :n] = a
         # Each buffer that dgemm reads or writes is bound once, as it is
-        # made, and read back from its Buffer (the A, L, W and B properties),
+        # made, and read back from its Buffer (the A, W and B properties),
         # so the array and the pointer BLAS writes through cannot drift apart.
         self.buf_A = Buffer(padded.T[:n], "A")
-        self.buf_L = Buffer(np.eye(n, order="F"), "L")
         self.perm = np.arange(n, dtype=np.int64)
-        # L's rows follow every swap over columns open0:k only; each closed
-        # block (c0, c1, perm[c1:] when it closed) is gathered once by run.
+        # The rows of L, the eliminated columns of A, follow every swap over
+        # columns open0:k only; each closed block (c0, c1, perm[c1:] when it
+        # closed) is gathered once, when _take_L moves it out.
         self.open0 = 0
         self.closed: list[tuple[int, int, np.ndarray]] = []
         # Columns formed in this step, keyed by label.
         self.cols: dict[int, np.ndarray] = {}
         self.blocks: list[np.ndarray] = []
-        # Largest |multiplier| so far: every strictly lower entry of L is
-        # written once by _eliminate, and swaps only move entries between rows.
+        # Largest |multiplier| so far: every multiplier is written once by
+        # _eliminate, and swaps only move entries between rows.
         self.max_multiplier = 0.0
         self.counters = OpCounters()
         self.k = 0
@@ -540,7 +549,7 @@ class _Engine:
         self.t = 0
         self.buf_W = Buffer(np.empty((n + _PAD, min(cfg.b + 1, n)), order="F"), "W")
         sketch = (self.buf_B,) if self.buf_B is not None else ()
-        require_disjoint(self.buf_A, self.buf_L, self.buf_W, *sketch)
+        require_disjoint(self.buf_A, self.buf_W, *sketch)
         # The off-diagonal table a run of long walks keeps (see _long_walk),
         # None between runs, and the columns to re-scan before a walk reads it.
         # A long walk ends its panel, so only a panel's first step sees a table.
@@ -551,12 +560,9 @@ class _Engine:
 
     @property
     def A(self) -> np.ndarray:
-        """The padded working copy, column-major; its lower triangle is live."""
+        """The padded working copy, column-major: L's columns left of k, the
+        active block's lower triangle from k on."""
         return self.buf_A.array
-
-    @property
-    def L(self) -> np.ndarray:
-        return self.buf_L.array
 
     @property
     def W(self) -> np.ndarray:
@@ -573,11 +579,10 @@ class _Engine:
         """Relabel positions i and j across every live array."""
         if i == j:
             return
-        k, t = self.k, self.t
-        sym_swap(self.A[k:, k:], i - k, j - k)
-        if k > self.open0:
-            L = self.L
-            exchange(L[i, self.open0 : k], L[j, self.open0 : k])
+        k, t, o = self.k, self.t, self.open0
+        # The first segment is the whole row left of the diagonal: L's row
+        # over the open block, then the active block's.
+        sym_swap(self.A[o:, o:], i - o, j - o)
         if t:
             exchange(self.W[i - self.k0, :t], self.W[j - self.k0, :t])
         if self.buf_B is not None:
@@ -595,7 +600,7 @@ class _Engine:
         k, t = self.k, self.t
         c = self._line(j)
         if t:
-            return c - self.L[k:, self.k0 : self.k0 + t] @ self.W[j - self.k0, :t]
+            return c - self.A[k:, self.k0 : self.k0 + t] @ self.W[j - self.k0, :t]
         return c if j > k else c.copy()
 
     def _line(self, j: int) -> np.ndarray:
@@ -641,30 +646,45 @@ class _Engine:
         if t == 0 or m == 0:
             return
         # Each strip is one dgemm into A, in place: A[c0:, c0:c1] -=
-        # L[c0:, k0:k0+t] @ W[c0-k0:c1-k0, :t].T.  OpenBLAS may hand a
-        # 1-column dgemm to gemv, which rounds differently, so the last
-        # strip absorbs a 1-column remainder.
+        # L[c0:, k0:k0+t] @ W[c0-k0:c1-k0, :t].T, L being A's columns k0:k.
+        # OpenBLAS may hand a 1-column dgemm to gemv, which rounds
+        # differently, so the last strip absorbs a 1-column remainder.
         cuts = (list(range(k, n - 1, _STRIP)) or [k]) + [n]
         for c0, c1 in zip(cuts, cuts[1:]):
             dgemm(
                 n - c0, c1 - c0, t,
-                -1.0, (self.buf_L, c0, k0), (self.buf_W, c0 - k0, 0),
+                -1.0, (self.buf_A, c0, k0), (self.buf_W, c0 - k0, 0),
                 1.0, (self.buf_A, c0, c0), trans_b=True,
             )
         self._charge(t * (m * (m + 1)) // 2)
 
-    def _gather_closed_blocks(self) -> None:
-        """Permute each closed block's rows of L by every swap made after it closed."""
-        n = self.n
+    def _take_L(self) -> np.ndarray:
+        """L, moved to the front of A's buffer as a contiguous n x n array.
+
+        Each block of columns c0:c1, read out with its rows gathered and
+        given a unit diagonal and zeros above it, is written back as columns
+        c0:c1 of the result.  They end before column c1 of the padded A, so
+        no block is overwritten before it is read.
+        """
+        n, perm = self.n, self.perm
+        cols = self.A.T  # row j is column j of A
+        lt = self.A.base.reshape(-1)[: n * n].reshape(n, n)  # row j: column j of L
         where = np.empty(n, dtype=np.int64)
-        lt = self.L.T
-        for c0, c1, then in self.closed:
+        for c0, c1, then in [*self.closed, (self.open0, n, perm[n:])]:
             where[then] = np.arange(c1, n)  # each label's position at the close
-            lt[c0:c1, c1:] = np.take(lt[c0:c1], where[self.perm[c1:]], axis=1)
+            rows = np.concatenate((np.arange(c0, c1), where[perm[c1:]]))
+            block = cols[c0:c1, rows]  # np.take would copy the strided rows first
+            block[np.tril_indices(c1 - c0, -1)] = 0.0
+            np.fill_diagonal(block, 1.0)
+            lt[c0:c1, :c0] = 0.0
+            lt[c0:c1, c0:] = block
+        return lt.T
 
     def _terminate_deficient(self) -> None:
-        """Declare the tail from k numerically zero; moving k to n ends the run."""
+        """Declare the tail from k numerically zero, its columns of L the
+        identity's; moving k to n ends the run."""
         self.deficient_from = self.k
+        self.A[self.k :, self.k :] = 0.0
         self.blocks.extend(np.zeros((1, 1)) for _ in range(self.k, self.n))
         self.k = self.n
 
@@ -821,7 +841,12 @@ class _Engine:
         c0 = self._column(k)
         c1 = self._column(k + 1) if s == 2 else None
         lcols, dblock, lmax = _block_multipliers(c0, c1, k, self.alpha)
-        self.L[k + s :, k : k + s] = lcols
+        # L overwrites the pivot columns, which W keeps for the panel; d21
+        # gives way to L's zero, which the q = b correction reads.
+        A = self.A
+        A[k + s :, k : k + s] = lcols
+        if s == 2:
+            A[k + 1, k] = 0.0
         self.max_multiplier = max(self.max_multiplier, lmax)
         w_rows = slice(k - self.k0, n - self.k0)
         self.W[w_rows, self.t] = c0
@@ -838,10 +863,10 @@ class _Engine:
                 self.counters.adds += 2 * w + 1
         if self.buf_B is not None and self.cfg.q == 1 and w > 0:
             # B[:, k+s:] -= B[:, k:k+s] @ lcols.T, in place on the bound B.T
-            # as B.T[k+s:] -= lcols @ B.T[k:k+s], with lcols read back from L.
+            # as B.T[k+s:] -= lcols @ B.T[k:k+s], with lcols read back from A.
             dgemm(
                 w, self.p, s,
-                -1.0, (self.buf_L, k + s, k), (self.buf_B, k, 0), 1.0, (self.buf_B, k + s, 0),
+                -1.0, (self.buf_A, k + s, k), (self.buf_B, k, 0), 1.0, (self.buf_B, k + s, 0),
             )
             self._charge(s * self.p * w)
 
@@ -884,10 +909,9 @@ class _Engine:
             sketch_drift=self.drift,
             recompute_count=self.recompute_count,
         )
-        self._gather_closed_blocks()
         return Factorization(
             perm=self.perm,
-            L=self.L,
+            L=self._take_L(),
             D=d,
             stats=stats,
             deficient_from=self.deficient_from,
@@ -912,11 +936,16 @@ class _Engine:
             # One correction per panel: B(:,trail) -= B(:,panel) Lpp^-T Ltp^T,
             # formed on its p x t side.  On the bound B.T that is
             # B.T[k:] -= L[k:, k0:k] @ y, with y = Lpp^-1 B.T[k0:k] (t x p),
-            # and the product reads Ltp in place.
-            y = solve_triangular(self.L[k0:k, k0:k], self.B[:, k0:k].T, lower=True, unit_diagonal=True)
+            # and both read L in place in A.  Above Lpp's diagonal lies A's
+            # stale upper triangle, which the solve never reads, so it is not
+            # checked; _block_multipliers checked every multiplier.
+            y = solve_triangular(
+                self.A[k0:k, k0:k], self.B[:, k0:k].T,
+                lower=True, unit_diagonal=True, check_finite=False,
+            )
             dgemm(
                 n - k, self.p, t,
-                -1.0, (self.buf_L, k, k0), (Buffer(y, "y"), 0, 0), 1.0, (self.buf_B, k, 0),
+                -1.0, (self.buf_A, k, k0), (Buffer(y, "y"), 0, 0), 1.0, (self.buf_B, k, 0),
             )
             self._charge(self.p * t * (t - 1) // 2 + self.p * t * (n - k))
         if self.drift is not None and t > 0 and k < n:

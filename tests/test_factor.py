@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -709,9 +710,48 @@ def test_panels_read_only_what_they_wrote_in_w(family, overrides, audited):
     _assert_bitwise_equal(_PoisonedPanelEngine(a, cfg).run(), factor(a, cfg))
 
 
-@pytest.mark.parametrize("name", ["A", "L", "W"])
+@pytest.mark.parametrize(
+    "kwargs, family, z",
+    [
+        (dict(), "type6", 0),
+        (dict(p=64, b=64, q=64), "type2", 0),
+        (dict(strategy="bkpp"), "type6", 0),
+        (dict(strategy="bbk"), "type2", 0),
+        (dict(b=1), "type6", 0),
+        (dict(), "type6", 3),
+    ],
+    ids=["rcp", "q=b-type2", "bkpp", "bbk-long-walks", "b=1", "rcp-deficient-tail"],
+)
+def test_factor_keeps_one_n_by_n_buffer(kwargs, family, z):
+    # L is written over the eliminated columns of the padded working copy
+    # and moved to the front of its buffer at the end, so factor's peak is
+    # about one n x (n + 8) array, not two.  The move writes L's unit
+    # diagonal and the zeros above it, over 2x2 blocks (q=b-type2), long
+    # rook walks (bbk on type2) and a deficient tail (z zero rows) alike.
+    n = 1024
+    a = _block_diagonal(generate(MatrixSpec(family, n - z, seed=0)), np.zeros((z, z)))
+    tracemalloc.start()
+    try:
+        f = factor(a, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * (n + 8)) < 1.75
+    L = f.L
+    assert L.flags.f_contiguous and not L.flags.writeable
+    assert not np.triu(L, 1).any()
+    assert np.all(np.diag(L) == 1.0)
+    if kwargs.get("q") == 64:
+        assert f.D.starts2.size > 0
+    if z:
+        d = f.deficient_from
+        assert d is not None and np.array_equal(L[d:, d:], np.eye(n - d))
+    assert recon_error(a, f) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["A", "W"])
 def test_engine_buffers_are_read_back_from_their_bindings(name):
-    # A, L and W are the arrays their Buffers bind, column-major, before and
+    # A and W are the arrays their Buffers bind, column-major, before and
     # after a run; none can be rebound to an array dgemm would not write
     # through.
     a = generate(MatrixSpec("type6", 40, seed=1))

@@ -121,7 +121,7 @@ def test_update_sketch_known_value():
     engine._run_panel()  # one panel of width b=1 is one step
     assert engine.k == 1
     assert np.array_equal(engine.perm, [0, 1, 2])
-    assert np.array_equal(engine.L[1:, 0], [1.0, -1.0])
+    assert np.array_equal(engine.A[1:, 0], [1.0, -1.0])  # L's column, in A
     assert np.array_equal(engine.B[:, 1:], [[9.0, -1.0]])
 
 

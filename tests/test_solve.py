@@ -431,6 +431,15 @@ def test_factorization_is_frozen(strategy):
         f.L = np.full((12, 12), np.nan)
 
 
+def test_factorization_compares_and_hashes_by_identity():
+    # Its ndarray fields cannot be compared as a tuple, so == and hash
+    # are those of the object.
+    f, g = (factor(np.diag([1.0, 2.0, 3.0])) for _ in range(2))
+    assert f == f
+    assert f != g
+    assert {f} == {f} and len({f, g}) == 2
+
+
 def test_solve_validation():
     f = factor(np.eye(3), strategy="bkpp")
     with pytest.raises(ValueError, match="right-hand side"):
