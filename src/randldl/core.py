@@ -29,6 +29,10 @@ Conventions used throughout the package:
   with an input.  NumPy and SciPy each load their own OpenBLAS with
   its own thread pool; large products on both make one pool's idle
   workers spin while the other's run.
+* The kernels that ``factor`` and ``solve`` share are written once, here:
+  a 2x2 pivot block's determinant and adjugate solve (``det_2x2``,
+  ``solve_2x2``), and the unit-lower triangular solve
+  (``solve_triangular``), which also runs the q = b sketch correction.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numbers
 
 import numpy as np
 from scipy.linalg import cython_blas
+from scipy.linalg.blas import dtrsm, dtrsv
 
 __all__ = [
     "require_int",
@@ -51,6 +56,9 @@ __all__ = [
     "sym_swap",
     "mirror_lower",
     "column_norms",
+    "det_2x2",
+    "solve_2x2",
+    "solve_triangular",
     "Buffer",
     "require_disjoint",
     "dgemm",
@@ -197,7 +205,9 @@ def column_norms(m: np.ndarray) -> np.ndarray:
     if top == 0.0 or not math.isfinite(top):
         return np.sqrt(sums, out=sums)
     e = math.frexp(top)[1]
-    return np.ldexp(np.sqrt(_sums_of_squares(np.ldexp(m, -e))), e)
+    # A column whose norm exceeds the largest double is inf, as its sum was.
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(_sums_of_squares(np.ldexp(m, -e))), e)
 
 
 def _sums_of_squares(block: np.ndarray) -> np.ndarray:
@@ -212,6 +222,39 @@ def _sums_of_squares(block: np.ndarray) -> np.ndarray:
     """
     sq = block if block.strides[1] == 8 else np.ascontiguousarray(block)
     return np.einsum("ij,ij->j", sq, sq)
+
+
+def det_2x2(d11, d21, d22):
+    """``d11*d22 - d21*d21``, rounded as written, for floats or arrays of blocks."""
+    return d11 * d22 - d21 * d21
+
+
+def solve_2x2(d11, d21, d22, det, z1, z2, out1, out2) -> None:
+    """Solve ``[[d11, d21], [d21, d22]] [w1; w2] = [z1; z2]`` by the adjugate.
+
+    Writes ``(d22*z1 - d21*z2) / det`` into ``out1`` and ``(d11*z2 -
+    d21*z1) / det`` into ``out2``, each rounded as written, ``det`` being
+    :func:`det_2x2`'s.  The entries broadcast against ``z1``; the outputs
+    must not share memory with ``z1`` or ``z2``.
+    """
+    np.multiply(z1, d22, out=out1)
+    np.multiply(z2, d11, out=out2)
+    out1 -= d21 * z2
+    out2 -= d21 * z1
+    out1 /= det
+    out2 /= det
+
+
+def solve_triangular(l: np.ndarray, y: np.ndarray, trans: int) -> np.ndarray:
+    """``l^-1 y`` (``trans=0``) or ``l^-T y`` (``trans=1``) for unit lower ``l``.
+
+    BLAS ``dtrsv`` for one right-hand side, ``dtrsm`` for many; ``l``'s
+    diagonal and upper triangle are not read.  Overwrites ``y`` where BLAS
+    can, so ``y`` must never be the caller's array.
+    """
+    if y.ndim == 1:
+        return dtrsv(l, y, lower=1, trans=trans, diag=1, overwrite_x=1)
+    return dtrsm(1.0, l, y, lower=1, trans_a=trans, diag=1, overwrite_b=1)
 
 
 # SciPy's BLAS dgemm, through the function pointer cython_blas exports.  The

@@ -39,11 +39,12 @@ column strips.  ``b=1`` reproduces the classic eager per-step update.  With
 panel's candidate columns up front and the sketch is corrected once per
 panel, on its p x t side: with the panel's t columns of ``L`` split into
 the unit lower ``Lpp`` over ``Ltp``, ``B[:, trail] -= B[:, panel] Lpp^-T
-Ltp^T`` is one t x p triangular solve ``y = Lpp^-1 B[:, panel]^T`` and one
-product ``Ltp @ y``.  Every swap, with either q, exchanges two columns of
-the sketch.  ``dgeqp3`` scales its column norms, so they neither overflow
-nor underflow and a power-of-two scaling of the sketch leaves the choice as
-is (see :func:`partial_qrcp`).
+Ltp^T`` is one t x p triangular solve ``y = Lpp^-1 B[:, panel]^T``, by
+``core.solve_triangular`` as in the solve, and one product ``Ltp @ y``.
+Every swap, with either q, exchanges two columns of the sketch.
+``dgeqp3`` scales its column norms, so they neither overflow nor underflow
+and a power-of-two scaling of the sketch leaves the choice as is (see
+:func:`partial_qrcp`).
 
 Only the lower triangle of the active block ``A[k:, k:]`` is kept, as in
 LAPACK ``dsytrf``/``dlasyf``, and as there ``L`` is written over the
@@ -73,7 +74,7 @@ so every large product runs on one BLAS thread pool.
 The strip products also update the upper half of each diagonal strip
 square, whose values are never used: no result depends on the strict
 upper triangle.  The rare paths that need the whole block (the guard's
-fresh projection and the sketch audit) mirror a copy of it on demand,
+fresh projection and the sketch audit) mirror it in place on demand,
 where the stored block is the Schur complement.  Growth factors are not
 tracked here: :func:`randldl.metrics.schur_snapshots` replays them from
 the input and the finished factors.
@@ -119,12 +120,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import block_diag
 from scipy.linalg.lapack import dgeqp3
 
 from .core import (
     Buffer,
     column_norms,
+    det_2x2,
     dgemm,
     exchange,
     mirror_lower,
@@ -134,6 +136,8 @@ from .core import (
     require_real,
     require_square,
     require_symmetric,
+    solve_2x2,
+    solve_triangular,
     sym_swap,
 )
 from .metrics import GrowthStats, OpCounters, norm_1_2
@@ -289,7 +293,8 @@ class BlockDiag:
     read-only buffer, and the read-only arrays the solve reads are derived
     from it once: ``den``, each row's nonzero 1x1 pivot (else 1);
     ``pair_rows``, the first row of each nonsingular 2x2 block, and
-    ``pair``, its d11, d21, d22 and ``det = d11*d22 - d21*d21``;
+    ``pair``, its d11, d21, d22 and ``det`` (``core.det_2x2``, as the
+    elimination formed it);
     ``zero_rows``, the rows of singular blocks; and ``starts2``, the first
     row of every 2x2 block.
     """
@@ -318,7 +323,7 @@ class BlockDiag:
             raise ValueError("2x2 diagonal blocks must be symmetric")
         d1, starts1, starts2 = flat[offs[one]], starts[one], starts[~one]
         d11, d21, d22 = flat[o2], flat[o2 + 2], flat[o2 + 3]
-        det = d11 * d22 - d21 * d21
+        det = det_2x2(d11, d21, d22)
         ok1, ok2 = d1 != 0.0, det != 0.0
         den = np.ones(self.dim)
         den[starts1[ok1]] = d1[ok1]
@@ -406,11 +411,12 @@ def _block_multipliers(
 
     ``c0`` (and ``c1`` for a 2x2 block) hold the pivot columns of the active
     Schur complement starting at the pivot row, which is row ``k``.  The 2x2
-    case solves against the adjugate, and the stored block is symmetrized
-    from the lower entry.  A block the engine cannot use raises
-    :class:`NumericalError`: a zero 1x1 pivot under a nonzero column, a
-    singular 2x2 block, non-finite block or multipliers, or a 2x2 block
-    below the determinant bound of the strategy's ``alpha``.
+    case solves against the adjugate by ``core.solve_2x2``, as the solve
+    does, and the stored block is symmetrized from the lower entry.  A
+    block the engine cannot use raises :class:`NumericalError`: a zero 1x1
+    pivot under a nonzero column, a singular 2x2 block, non-finite block or
+    multipliers, or a 2x2 block below the determinant bound of the
+    strategy's ``alpha``.
     """
     if c1 is None:
         d = float(c0[0])
@@ -429,18 +435,12 @@ def _block_multipliers(
         d11, d21, d22 = float(c0[0]), float(c0[1]), float(c1[1])
         entries = (d11, d21, d22)
         dblock = np.array([[d11, d21], [d21, d22]])
-        det = d11 * d22 - d21 * d21
+        det = det_2x2(d11, d21, d22)
         if det == 0.0:
             raise NumericalError(f"singular 2x2 pivot block at step {k}", k, dblock)
-        # Columns (a1 d22 - d21 a2) / det and (d11 a2 - d21 a1) / det, each
-        # rounded as written, formed in place in one column-major array.
-        a1, a2 = c0[2:], c1[2:]
-        lcols = np.empty((a1.size, 2), order="F")
-        np.multiply(a1, d22, out=lcols[:, 0])
-        np.multiply(a2, d11, out=lcols[:, 1])
-        lcols[:, 0] -= d21 * a2
-        lcols[:, 1] -= d21 * a1
-        lcols /= det
+        # Both columns formed in place in one column-major array.
+        lcols = np.empty((c0.size - 2, 2), order="F")
+        solve_2x2(d11, d21, d22, det, c0[2:], c1[2:], lcols[:, 0], lcols[:, 1])
     # A NaN or an infinity among the multipliers makes their maximum one too.
     lmax = float(np.abs(lcols).max(initial=0.0))
     if not (all(map(math.isfinite, entries)) and math.isfinite(lmax)):
@@ -725,7 +725,7 @@ class _Engine:
         if self.t:
             return None
         omega = self.rng.standard_normal((self.p, m))
-        self.B[:, k:] = self._project(omega, self._active_block())
+        self.B[:, k:] = self._project(omega, mirror_lower(self.A[k:, k:]))
         if self.omega is not None:
             self.omega[:, self.perm[k:]] = omega
         self.recompute_count += 1
@@ -872,15 +872,12 @@ class _Engine:
 
     # -- diagnostics -----------------------------------------------------
 
-    def _active_block(self) -> np.ndarray:
-        """Full symmetric copy of the active block, mirrored from its lower triangle."""
-        return mirror_lower(self.A[self.k :, self.k :].copy(order="F"))
-
     def _record_drift(self) -> None:
         k = self.k
         # Omega is kept in label order; the gather puts it in position order,
         # row-major (a fancy index would return it column-major).
-        exact = self._project(np.take(self.omega, self.perm[k:], axis=1), self._active_block())
+        omega = np.take(self.omega, self.perm[k:], axis=1)
+        exact = self._project(omega, mirror_lower(self.A[k:, k:]))
         err = norm_1_2(self.B[:, k:] - exact)
         denom = self.input_norm_12
         self.drift.append(err / denom if denom else err)
@@ -936,13 +933,10 @@ class _Engine:
             # One correction per panel: B(:,trail) -= B(:,panel) Lpp^-T Ltp^T,
             # formed on its p x t side.  On the bound B.T that is
             # B.T[k:] -= L[k:, k0:k] @ y, with y = Lpp^-1 B.T[k0:k] (t x p),
-            # and both read L in place in A.  Above Lpp's diagonal lies A's
-            # stale upper triangle, which the solve never reads, so it is not
-            # checked; _block_multipliers checked every multiplier.
-            y = solve_triangular(
-                self.A[k0:k, k0:k], self.B[:, k0:k].T,
-                lower=True, unit_diagonal=True, check_finite=False,
-            )
+            # and both read L in place in A.  y starts as a column-major copy
+            # of B.T[k0:k], which the solve overwrites.
+            y = np.array(self.B[:, k0:k].T, order="F")
+            y = solve_triangular(self.A[k0:k, k0:k], y, 0)
             dgemm(
                 n - k, self.p, t,
                 -1.0, (self.buf_A, k, k0), (Buffer(y, "y"), 0, 0), 1.0, (self.buf_B, k, 0),

@@ -5,10 +5,12 @@ triangle by BLAS ``dtrsv`` (one right-hand side) or ``dtrsm`` (many), solve
 the block diagonal, back-substitute through the transpose, and un-permute.
 The block-diagonal solve divides every row by a cached 1x1 pivot, then
 rewrites the rows of 2x2 blocks by the explicit adjugate through cached row
-indices.  Exactly-zero 1x1 blocks and exactly-singular 2x2 blocks set the
-``singular`` flag and zero the corresponding solution components; no epsilon
-test is applied to merely ill-conditioned blocks (a rank-revealing
-factorization has already zeroed negligible trailing blocks).
+indices.  Both kernels, ``solve_triangular`` and ``solve_2x2``, are
+``core``'s, which ``factor`` runs too.  Exactly-zero 1x1 blocks and
+exactly-singular 2x2 blocks set the ``singular`` flag and zero the
+corresponding solution components; no epsilon test is applied to merely
+ill-conditioned blocks (a rank-revealing factorization has already zeroed
+negligible trailing blocks).
 
 The factorization is checked once, when it is built: ``L`` must be finite
 and ``perm`` a permutation, both are then read-only, and ``D`` is frozen
@@ -22,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsm, dtrsv
 
-from .core import require_real
+from .core import require_real, solve_2x2, solve_triangular
 from .factor import BlockDiag, Factorization
 from .metrics import backward_error
 
@@ -58,21 +59,12 @@ def block_diag_solve(d: BlockDiag, z: np.ndarray) -> tuple[np.ndarray, bool]:
     if i.size:
         d11, d21, d22, det = d.pair if vector else d.pair[:, :, None]
         z1, z2 = w[i], w[i + 1]  # z itself: a 2x2 block's rows have den = 1
-        w[i] = (d22 * z1 - d21 * z2) / det
-        w[i + 1] = (d11 * z2 - d21 * z1) / det
+        out = np.empty((2, *z1.shape))
+        solve_2x2(d11, d21, d22, det, z1, z2, out[0], out[1])
+        w[i], w[i + 1] = out
     if d.zero_rows.size:
         w[d.zero_rows] = 0.0
     return w, bool(d.zero_rows.size)
-
-
-def solve_triangular(l: np.ndarray, y: np.ndarray, trans: int) -> np.ndarray:
-    """``l^-1 y`` (``trans=0``) or ``l^-T y`` (``trans=1``) for unit lower ``l``.
-
-    Overwrites ``y`` where BLAS can, so ``y`` must never be the caller's array.
-    """
-    if y.ndim == 1:
-        return dtrsv(l, y, lower=1, trans=trans, diag=1, overwrite_x=1)
-    return dtrsm(1.0, l, y, lower=1, trans_a=trans, diag=1, overwrite_b=1)
 
 
 def _substitute(f: Factorization, rhs: np.ndarray) -> tuple[np.ndarray, bool]:

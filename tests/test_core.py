@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.blas
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -18,6 +20,7 @@ from randldl.core import (
     require_real,
     require_square,
     require_symmetric,
+    solve_triangular,
     sym_swap,
 )
 from helpers import random_symmetric
@@ -199,6 +202,13 @@ def test_column_norms_huge_entries_do_not_overflow():
     assert np.allclose(column_norms(m), [1e160 * np.sqrt(2.0)], rtol=1e-15)
 
 
+def test_column_norms_overflowing_norm_is_inf():
+    # The first column's norm, 3 * 2**1023, exceeds the largest double: it is
+    # inf, with no overflow warning, and the second column's stays exact.
+    m = np.array([[1.5 * 2.0**1023, 2.0**1022], [1.5 * 2.0**1023, 2.0**1022]])
+    assert np.array_equal(column_norms(m), [np.inf, np.sqrt(2.0) * 2.0**1022])
+
+
 @pytest.mark.parametrize("k", [0, 3, 8])
 def test_column_norms_same_bits_in_any_layout(k):
     # The engine hands column_norms the row-major view B[:, k:], read in
@@ -233,6 +243,41 @@ def test_column_norms_validation():
 def test_column_norms_matches_reference(m):
     expect = np.linalg.norm(m, axis=0)
     assert np.allclose(column_norms(m), expect, rtol=1e-12, atol=1e-300)
+
+
+# -- unit-lower triangular solve ---------------------------------------------
+
+
+@pytest.mark.parametrize("t", [1, 2, 37, 64])
+@pytest.mark.parametrize("trans", [0, 1])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_solve_triangular_matches_scipy_on_padded_views(t, trans, ndim):
+    # The q = b sketch correction solves against L[k0:k, k0:k], a view of
+    # factor's column-major working copy, whose leading dimension is n + 8,
+    # with a column-major t x p right-hand side.  Only L's strict lower
+    # triangle may be read: its diagonal and upper triangle hold NaN.
+    n, k0, p = 200, 50, 64
+    rng = np.random.default_rng(t)
+    l = np.full((n, n + 8), np.nan).T[:n]
+    l[np.tril_indices(n, -1)] = rng.uniform(-2.5, 2.5, n * (n - 1) // 2)
+    view = l[k0 : k0 + t, k0 : k0 + t]
+    before = l.copy()
+    y = rng.standard_normal(t if ndim == 1 else (t, p))
+    want = scipy.linalg.solve_triangular(
+        view, y, trans=trans, lower=True, unit_diagonal=True, check_finite=False
+    )
+    got = solve_triangular(view, np.array(y, order="F"), trans)
+    assert np.isfinite(want).all()
+    if ndim == 2:
+        assert got.tobytes() == want.tobytes()
+    else:
+        # One right-hand side runs dtrsv, the solve's kernel, which rounds
+        # apart from SciPy's dtrtrs once t passes OpenBLAS's block size; on
+        # the padded view it gives the bits it gives on a contiguous copy.
+        tight = scipy.linalg.blas.dtrsv(np.asfortranarray(view), y, lower=1, trans=trans, diag=1)
+        assert got.tobytes() == tight.tobytes()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(l, before, equal_nan=True)
 
 
 # -- BLAS dgemm on views bound whole ----------------------------------------

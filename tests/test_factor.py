@@ -928,6 +928,18 @@ def test_panel_columns_numerical_errors():
         _block_multipliers(np.array([1.0, 1.0]), np.array([1.0, 1.0 + 2.0**-20]), 0, SBKP_ALPHA)
 
 
+def test_overflowing_sketch_norm_raises_numerical_error():
+    # The sketch of A scaled to a largest entry of 2**1018 has a column norm
+    # beyond the largest double.  Its norm is inf, without an overflow
+    # warning from column_norms on the way, and the elimination names the
+    # first step whose pivot data is not finite.
+    a = generate(MatrixSpec("type1", 200, 0))
+    a = np.ldexp(a, 1019 - np.frexp(np.abs(a).max())[1])
+    assert np.abs(a).max() == 2.0**1018
+    with pytest.raises(NumericalError, match="non-finite pivot data at step 2"):
+        factor(a, p=64, b=64, q=64)
+
+
 # -- diagnostics -------------------------------------------------------------
 
 

@@ -5,18 +5,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from randldl import (
     BlockDiag,
     Factorization,
     GrowthStats,
+    SBKP_ALPHA,
     backward_error,
     factor,
     solve,
     solve_many,
 )
+from randldl.core import det_2x2
+from randldl.factor import _block_multipliers
 from randldl.solve import block_diag_solve
 from helpers import random_symmetric
 
@@ -167,6 +170,34 @@ def test_block_diag_solve_matches_blockwise_reference(blocks, k, data):
     assert singular is want_singular
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+_UNIT = st.floats(-1.0, 1.0).filter(lambda v: abs(v) >= 1e-3)
+
+
+@seed(20261022)
+@settings(max_examples=200)
+@given(
+    entries=st.tuples(_UNIT, _UNIT, _UNIT),
+    scale=st.sampled_from([1.0, 2.0**500, 2.0**-500]),
+    m=st.integers(0, 40),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_and_solve_agree_on_2x2_blocks(entries, scale, m, draw_seed):
+    # The multipliers of a 2x2 pivot are the solve's D-solve of the pivot
+    # columns below it: both run one kernel, so they agree bitwise, at any
+    # scale that keeps the determinant normal.
+    d11, d21, d22 = (v * scale for v in entries)
+    det = det_2x2(d11, d21, d22)
+    assume(abs(det) >= (1.0 - SBKP_ALPHA**2) * d21 * d21)
+    a1, a2 = np.random.Generator(np.random.Philox(draw_seed)).standard_normal((2, m)) * scale
+    c0, c1 = np.concatenate(([d11, d21], a1)), np.concatenate(([d21, d22], a2))
+    lcols, dblock, _ = _block_multipliers(c0, c1, 0, SBKP_ALPHA)
+    d = BlockDiag([dblock])
+    w, singular = block_diag_solve(d, np.stack((a1, a2)))
+    assert not singular
+    assert lcols.tobytes() == w.T.tobytes()
+    assert d.pair[3].tolist() == [det]
 
 
 # -- full solves -------------------------------------------------------------

@@ -29,8 +29,10 @@ n // 2, then type6: its first long rook walk comes inside a bbk panel of
 width 7 or 64.  It runs them at n in {64, 300, 1024}, seeds 0-2, under
 the configurations named in ``CONFIGS``; ``--quick`` keeps n <= 300.
 ``randldl`` is imported from ``--src`` (default: ``src/`` beside this
-directory).  Pin the BLAS thread count (``OPENBLAS_NUM_THREADS=1``) on both
-sides: a threaded GEMM may round differently.
+directory).  The script runs BLAS on one thread, as a threaded GEMM may
+round differently: run as a script, it sets ``OPENBLAS_NUM_THREADS=1``
+before NumPy loads, unless the environment already sets it, so a bare run
+on each tree compares bitwise.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -77,6 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
+    # Set before NumPy loads its OpenBLAS, which reads it once.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     from randldl import MatrixSpec, factor, generate, reconstruct, solve, solve_many
